@@ -1,20 +1,16 @@
-"""Fleet throughput: serial vs parallel cross-tenant execution.
+"""Fleet throughput: serial vs resident cross-tenant execution.
 
 Not a paper figure -- this bench characterizes the multi-tenant fleet
 subsystem (`repro.fleet`).  It generates N correlated enterprises
 sharing one attacker campaign, writes the fleet layout to disk, then
-runs the identical workload through every executor:
+runs the identical workload through both executors:
 
-* serial: ``--workers 1`` (the baseline every mode must match);
-* threads: ``--workers N`` on the thread executor;
-* processes: ``--workers N`` on the process executor (engine state
-  carried through full per-tenant checkpoints every round -- real
-  parallelism paid for with serialization; skipped in smoke mode);
+* serial: the in-process loop (the baseline every mode must match);
 * resident: long-lived worker processes with engines resident in
-  memory across rounds and barrier delta-checkpoints (at 1/2/N
-  workers in the full run to show the scaling curve; one mode in
-  smoke).  Resident modes also record per-worker busy stats
-  (``workers_detail``) for the operations runbook.
+  memory across rounds (at 1/2/N workers in the full run to show the
+  scaling curve; one mode in smoke).  Resident modes also record
+  per-worker busy stats (``workers_detail``) for the operations
+  runbook.
 
 The parity assertion is the load-bearing part: per-tenant detections
 must be identical across all modes (day-barrier seeding makes results
@@ -25,9 +21,8 @@ verdict-cache skip counters.
 ``FLEET_BENCH_SMOKE=1`` shrinks the world for CI; results go to
 ``benchmarks/out/fleet_throughput.json``.  Full runs time each mode
 best-of-``REPEATS`` and record the host's ``cpu_count``: on a
-single-core host the process-based modes can only *match* serial
-(the win there is dropping the old per-round serialization tax), so
-the scaling curve is meaningful only alongside the core count.
+single-core host the resident modes can only *match* serial, so the
+scaling curve is meaningful only alongside the core count.
 """
 
 from __future__ import annotations
@@ -124,11 +119,10 @@ def test_fleet_throughput():
         manifest = load_manifest(
             write_fleet_layout(fleet, Path(tmp), days=DAYS)
         )
-        modes = [("serial", 1, "thread"), ("threads", WORKERS, "thread")]
+        modes = [("serial", 1, "serial")]
         if SMOKE:
             modes.append(("resident", WORKERS, "resident"))
         else:
-            modes.append(("processes", WORKERS, "process"))
             modes.extend(
                 (f"resident-{workers}", workers, "resident")
                 for workers in (1, 2, WORKERS)

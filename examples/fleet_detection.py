@@ -8,12 +8,11 @@ the multi-host C&C heuristic), the followers with a *single* host each
 three engines in day-barrier rounds above a shared intel plane, so the
 lead's confirmation becomes an elevated belief-propagation prior for
 the followers the very next day: the paper's community-feedback
-amplification at fleet scale.  The same fleet is then re-run with
-three thread workers, and finally with the **resident executor** --
-long-lived worker processes whose engines stay in memory across
-rounds, checkpointing barrier deltas (docs/OPERATIONS.md's runbook
-covers sizing) -- to show that parallel execution changes wall-clock,
-never detections.
+amplification at fleet scale.  The same fleet is then re-run on the
+**resident executor** with three workers -- long-lived worker
+processes whose engines stay in memory across rounds
+(docs/OPERATIONS.md's runbook covers sizing) -- to show that parallel
+execution changes wall-clock, never detections.
 
 Run:  python examples/fleet_detection.py
 (EXAMPLES_SMOKE=1 shrinks the run for CI smoke runs.)
@@ -48,8 +47,8 @@ def main() -> None:
             write_fleet_layout(fleet, Path(tmp), days=3 if smoke else 4)
         )
 
-        print("\nserial run (--workers 1):")
-        serial = FleetManager.from_manifest(manifest, workers=1).run()
+        print("\nserial run (--executor serial, the default):")
+        serial = FleetManager.from_manifest(manifest).run()
         print(serial.render())
 
         for follower in fleet.follower_tenants:
@@ -59,14 +58,9 @@ def main() -> None:
                   f"{sorted(day.intel_seeded)} from the board -> "
                   f"detected {sorted(set(day.detected) & set(shared.domains))}")
 
-        print("\nparallel run (--workers 3):")
-        parallel = FleetManager.from_manifest(manifest, workers=3).run()
-        assert (serial.detected_by_tenant() == parallel.detected_by_tenant())
-        print("parity holds: per-tenant detections identical with 3 workers")
-
-        print("\nresident run (--executor resident --workers 2):")
+        print("\nresident run (--executor resident --workers 3):")
         manager = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
+            manifest, workers=3, executor="resident",
         )
         resident = manager.run()
         assert (serial.detected_by_tenant() == resident.detected_by_tenant())

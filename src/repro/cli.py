@@ -263,9 +263,9 @@ def _add_fleet_parser(subparsers) -> None:
                     "Detections published by one tenant seed belief "
                     "propagation in the others from the next day on -- "
                     "across pipeline types; results are identical for "
-                    "any --workers value.  Exit codes: 0 success, 2 bad "
-                    "manifest/checkpoint, 3 interrupted (resume with "
-                    "--resume).",
+                    "either executor and any --workers value.  Exit "
+                    "codes: 0 success, 2 bad manifest/checkpoint, 3 "
+                    "interrupted (resume with --resume).",
     )
     parser.add_argument(
         "manifest", type=Path,
@@ -273,29 +273,25 @@ def _add_fleet_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="tenants advanced concurrently per round (default 1)",
+        help="resident worker processes (default 1; values above 1 "
+             "need --executor resident)",
     )
     parser.add_argument(
-        "--executor", choices=("thread", "process", "resident"),
-        default="thread",
-        help="'thread' keeps engines in memory; 'process' runs real "
-             "parallel workers with engine state carried through the "
-             "per-tenant checkpoints; 'resident' runs long-lived worker "
-             "processes whose engines stay in memory across rounds with "
-             "delta checkpoints at the barriers (see the operations "
-             "runbook for sizing guidance)",
+        # 'thread' and 'process' stay parseable only to fail with a
+        # one-line pointer at their replacement (see _run_fleet).
+        "--executor", choices=("serial", "resident", "thread", "process"),
+        default="serial", metavar="{serial,resident}",
+        help="'serial' (default) advances the tenants one after another "
+             "in this process; 'resident' runs --workers long-lived "
+             "worker processes whose engines stay in memory across "
+             "rounds with delta checkpoints at the barriers (see the "
+             "operations runbook for sizing guidance)",
     )
     parser.add_argument(
         "--heartbeat", type=float, default=5.0,
         help="resident executor: seconds between worker liveness polls "
              "while awaiting a response (default 5.0); a worker that "
              "dies is respawned from its last checkpoint",
-    )
-    parser.add_argument(
-        "--window-shards", type=int, default=1,
-        help="resident executor: aggregate each DNS tenant's day through "
-             "N host-hash window shards merged at the barrier "
-             "(default 1 = serial ingest; detections are identical)",
     )
     parser.add_argument(
         "--checkpoint-dir", type=Path, default=None,
@@ -599,8 +595,8 @@ def _run_generate(args) -> int:
                   f"({written} daily logs, "
                   f"{fleet.pipeline_of(tenant_id)} pipeline)")
         print(f"wrote {manifest_path}")
-        print(f"run it:  repro-detect fleet {manifest_path} --workers "
-              f"{args.tenants}")
+        print(f"run it:  repro-detect fleet {manifest_path} "
+              f"--executor resident --workers {args.tenants}")
         return 0
 
     if args.pipeline == "enterprise":
@@ -919,6 +915,14 @@ def _run_stream(args) -> int:
     return 0
 
 
+#: Fleet executors that no longer exist, with the replacement named in
+#: the one-line error ``--executor`` prints for them.
+_REMOVED_EXECUTORS = {
+    "thread": "--executor serial (the default) or --executor resident",
+    "process": "--executor resident",
+}
+
+
 def _run_fleet(args) -> int:
     import json
 
@@ -933,6 +937,12 @@ def _run_fleet(args) -> int:
     from .intelstore import IntelStoreError
 
     metrics = _setup_obs(args)
+    if args.executor in _REMOVED_EXECUTORS:
+        return _fail(
+            f"--executor {args.executor} was removed; use "
+            f"{_REMOVED_EXECUTORS[args.executor]}",
+            json_mode=args.log_json,
+        )
     if args.intel_ttl_days is not None and args.intel_db is None:
         return _fail("--intel-ttl-days requires --intel-db",
                      json_mode=args.log_json)
@@ -945,7 +955,6 @@ def _run_fleet(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             heartbeat=args.heartbeat,
-            window_shards=args.window_shards,
             metrics=metrics,
             intel_db=args.intel_db,
             intel_ttl_days=args.intel_ttl_days,

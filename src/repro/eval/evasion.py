@@ -383,7 +383,6 @@ def churn_evasion_curve(
     seed: int = 42,
     n_tenants: int = 3,
     workers: int = 2,
-    executor: str = "thread",
     metrics=None,
 ) -> EvasionCurve:
     """Detection rate of a shared campaign across a churning fleet.
@@ -393,9 +392,9 @@ def churn_evasion_curve(
     (:func:`~repro.synthetic.campaigns.churn_fleet_config`), writes
     the layout, runs the fleet manager, and measures the fraction of
     campaign-hit tenants whose shared C&C domains were detected.  The
-    "parity" flag asserts a serial (1-worker) rerun produces identical
-    per-tenant detections -- the fleet analogue of batch/streaming
-    parity.
+    "parity" flag asserts that a serial rerun produces the same
+    per-tenant detections as the ``workers``-process resident run --
+    the fleet analogue of batch/streaming parity.
     """
     import tempfile
     from pathlib import Path
@@ -421,7 +420,7 @@ def churn_evasion_curve(
                 write_fleet_layout(fleet, directory, days=8)
             )
 
-            def run(n_workers: int):
+            def run(n_workers: int, executor: str):
                 manager = FleetManager.from_manifest(
                     manifest, workers=n_workers, executor=executor,
                     metrics=metrics,
@@ -433,8 +432,8 @@ def churn_evasion_curve(
                     report.detected_by_tenant().items()
                 }
 
-            parallel = run(workers)
-            serial = run(1)
+            parallel = run(workers, "resident")
+            serial = run(1, "serial")
         parity = parallel == serial
         # Every tenant is hit by the shared campaign; the fleet's
         # detection rate is the fraction of hit tenants that surfaced

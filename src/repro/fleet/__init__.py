@@ -12,7 +12,7 @@ shared intelligence plane:
   cross-tenant prior board (a domain confirmed malicious in one tenant
   becomes an elevated belief-propagation prior everywhere else);
 * :mod:`~repro.fleet.manager` -- :class:`FleetManager`: day-barrier
-  rounds over all tenants with a thread, process or resident executor,
+  rounds over all tenants with a serial or resident executor,
   per-tenant checkpoints on the :mod:`repro.state` atomic-write
   machinery, and crash/resume;
 * :mod:`~repro.fleet.workers` -- the resident executor's long-lived

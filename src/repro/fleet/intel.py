@@ -25,8 +25,8 @@ Seeding is applied at *day barriers* by the
 are identical regardless of how many workers advance the tenants in
 parallel.
 
-The plane is thread-safe (one lock around all mutation); in process
-executor mode only the fleet parent touches it, at the barriers.
+The plane is thread-safe (one lock around all mutation); under the
+resident executor only the fleet parent touches it, at the barriers.
 """
 
 from __future__ import annotations

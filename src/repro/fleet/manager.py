@@ -18,27 +18,20 @@ the tests enforce).  Because seeding happens at the traffic level
 pipeline types: a DNS tenant's confirmation seeds an enterprise
 tenant's proxy-path run and vice versa.
 
-Three executors:
+Two executors:
 
-``thread``
-    engines stay in memory; tenants of one round run on a
-    ``ThreadPoolExecutor``.  Checkpointing is optional.
-``process``
-    tenants of one round run on a ``ProcessPoolExecutor``; engine
-    state travels through the per-tenant checkpoint files (the worker
-    loads the checkpoint, advances one day, writes it back), so a
-    checkpoint directory is required -- real parallelism, paid for
-    with per-round full-state serialization.
+``serial`` (the default)
+    a plain in-process loop over the round's tenants; engines stay in
+    :attr:`FleetManager.engines`.  Checkpointing is optional.
 ``resident``
     N long-lived worker processes (:mod:`repro.fleet.workers`), each
     owning a stable subset of tenants whose engines stay in worker
     memory across rounds.  The manager drives them over per-worker
     command queues (``INJECT_INTEL`` / ``ADVANCE_DAY`` /
     ``CHECKPOINT`` / ``SHUTDOWN``); only prior-board deltas, day
-    reports and barrier-delta checkpoints cross the process boundary,
-    so real parallelism no longer pays the full-serialization tax.  A
-    dead worker's tenants respawn from their last committed checkpoint
-    chain without disturbing the other workers.
+    reports and barrier-delta checkpoints cross the process boundary.
+    A dead worker's tenants respawn from their last committed
+    checkpoint chain without disturbing the other workers.
 
 Per-tenant checkpoints live at ``<dir>/<tenant>/checkpoint.json`` --
 a full engine snapshot plus the day's report in one atomic document
@@ -52,31 +45,14 @@ completed-round cursor) is written at each barrier.
 
 from __future__ import annotations
 
-import tempfile
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
 from ..obs.logs import get_logger, log_event
-from ..obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    split_sample_key,
-)
-from ..state import (
-    decode_config,
-    encode_config,
-    load_detector,
-    load_json,
-    save_json_atomic,
-)
+from ..obs.metrics import NULL_METRICS, MetricsSnapshot, split_sample_key
+from ..state import load_detector, load_json, save_json_atomic
 from ..streaming import StreamingDetector, StreamingEnterpriseDetector
 from .intel import IntelPlane, TenantWhoisView
 from .manifest import FleetManifest, TenantSpec
@@ -94,7 +70,6 @@ from .workers import (
     _tenant_checkpoint_path,
     _tenant_delta_path,
     load_tenant_chain,
-    load_whois_cached,
     restore_tenant_chain,
 )
 
@@ -105,86 +80,6 @@ SECONDS_PER_DAY = 86_400.0
 FLEET_STATE_VERSION = 1
 
 _LOG = get_logger("fleet")
-
-
-#: Per-pool-process metrics registry (process executor only).  Pool
-#: workers persist across round submissions, so tenant counters and
-#: advance spans accumulate here and ship as per-task deltas in the
-#: :func:`_process_worker` return value.  Engines stay uninstrumented
-#: in this mode -- they are rebuilt from checkpoints every round, and
-#: re-registering their collectors each rebuild would leak.
-_POOL_METRICS: MetricsRegistry | None = None
-
-
-def _process_worker(payload: dict[str, Any]) -> dict[str, Any] | None:
-    """Advance one tenant one day inside a pool worker process.
-
-    Engine state rides in the tenant checkpoint chain: load (or
-    create), feed the day's file, write a full checkpoint back with
-    the embedded report.  Everything crossing the process boundary is
-    plain JSON-able data; external registries are re-loaded from their
-    paths -- the WHOIS file only once per worker *process*
-    (:func:`~repro.fleet.workers.load_whois_cached`), since pool
-    workers persist across round submissions.
-    """
-    global _POOL_METRICS
-    metrics = None
-    if payload.get("metrics"):
-        if _POOL_METRICS is None:
-            _POOL_METRICS = MetricsRegistry()
-        metrics = _POOL_METRICS
-    checkpoint_path = Path(payload["checkpoint_path"])
-    whois = (
-        load_whois_cached(payload["whois_path"])
-        if payload.get("whois_path") else None
-    )
-    if checkpoint_path.exists():
-        chain = load_tenant_chain(
-            checkpoint_path.parent.parent, payload["tenant_id"]
-        )
-        detector = restore_tenant_chain(chain, whois=whois)
-        rounds_done = chain.rounds
-    elif payload["pipeline"] == "enterprise":
-        detector = StreamingEnterpriseDetector(
-            load_detector(payload["model_state"], whois=whois)
-        )
-        rounds_done = 0
-    else:
-        detector = StreamingDetector(
-            config=(
-                decode_config(payload["config"])
-                if payload["config"] is not None else None
-            ),
-            internal_suffixes=tuple(payload["internal_suffixes"]),
-            server_ips=frozenset(payload["server_ips"]),
-        )
-        rounds_done = 0
-    ct_index = None
-    if payload.get("ct_path"):
-        from ..intelstore.ct import load_ct_cached
-
-        ct_index = load_ct_cached(payload["ct_path"])
-    report = _advance_one_day(
-        detector,
-        payload["tenant_id"],
-        Path(payload["log_path"]),
-        bootstrap=payload["bootstrap"],
-        seeds=frozenset(payload["seeds"]),
-        pipeline=payload["pipeline"],
-        ct_edges=ct_index,
-        metrics=metrics,
-    )
-    report_dict = report.as_dict() if report is not None else None
-    _save_tenant_checkpoint(
-        detector, checkpoint_path, report_dict, rounds_done + 1
-    )
-    return {
-        "report": report_dict,
-        "metrics": (
-            metrics.snapshot_delta().as_dict()
-            if metrics is not None else None
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +96,12 @@ class FleetManager:
         intel: IntelPlane | None = None,
         config: SystemConfig | None = None,
         workers: int = 1,
-        executor: str = "thread",
+        executor: str = "serial",
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
         whois_path: str | Path | None = None,
         heartbeat: float = 5.0,
         full_checkpoint_every: int = 16,
-        window_shards: int = 1,
         metrics=None,
         intel_db: str | Path | None = None,
         intel_ttl_days: float | None = None,
@@ -222,10 +116,25 @@ class FleetManager:
             seen.add(spec.tenant_id)
         if workers < 1:
             raise FleetError("workers must be positive")
-        if executor not in ("thread", "process", "resident"):
+        if executor == "thread":
+            # perfbench/passrun.py, frozen with the benchmark, still
+            # asks for the removed thread executor (at workers=1) for
+            # its reference arm; serial is the same computation.
+            executor = "serial"
+        if executor == "process":
+            raise FleetError(
+                "the 'process' executor was removed; "
+                "use executor='resident'"
+            )
+        if executor not in ("serial", "resident"):
             raise FleetError(
                 f"unknown executor {executor!r} "
-                "(use 'thread', 'process' or 'resident')"
+                "(use 'serial' or 'resident')"
+            )
+        if executor == "serial" and workers != 1:
+            raise FleetError(
+                f"executor='serial' advances one tenant at a time; "
+                f"workers={workers} needs executor='resident'"
             )
         if resume and checkpoint_dir is None:
             raise FleetError("resume requires a checkpoint directory")
@@ -233,20 +142,6 @@ class FleetManager:
             raise FleetError("heartbeat must be positive")
         if full_checkpoint_every < 1:
             raise FleetError("full_checkpoint_every must be positive")
-        if window_shards < 1:
-            raise FleetError("window_shards must be positive")
-        self._transport_dir: tempfile.TemporaryDirectory | None = None
-        if executor == "process" and checkpoint_dir is None:
-            # Engine state travels through checkpoints in process mode;
-            # without an operator-chosen directory the checkpoints are
-            # pure transport, removed when run() returns.  (Resident
-            # workers keep engines in memory, so without a directory
-            # they simply run durability-free -- faster, but a worker
-            # crash is then fatal instead of recoverable.)
-            self._transport_dir = tempfile.TemporaryDirectory(
-                prefix="fleet-ckpt-"
-            )
-            checkpoint_dir = Path(self._transport_dir.name)
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
@@ -259,10 +154,9 @@ class FleetManager:
         self.whois_path = Path(whois_path) if whois_path is not None else None
         self.heartbeat = heartbeat
         self.full_checkpoint_every = full_checkpoint_every
-        self.window_shards = window_shards
         #: fleet-wide metrics view: the manager's own counters/spans,
-        #: thread-mode engines' live instruments, and the absorbed
-        #: per-round deltas resident/pool workers ship back.
+        #: serial-mode engines' live instruments, and the absorbed
+        #: per-round deltas resident workers ship back.
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.intel.bind_metrics(self.metrics)
         #: CT SAN-pivot index shared by every tenant's rollover, or
@@ -301,6 +195,8 @@ class FleetManager:
                 # barrier flush).
                 for cert in self.ct_index.observations:
                     self.intel_store.put_cert(cert)
+        #: per-tenant engines of a serial run (resident engines live
+        #: in the worker processes).
         self.engines: dict[str, Any] = {}
         #: per-worker execution stats of the last resident run
         #: (worker id -> tenants, tenant-days, records, busy seconds,
@@ -440,7 +336,7 @@ class FleetManager:
                     # the interrupted run stopped: no checkpoint is
                     # expected, it starts fresh when its round comes.
                     cursors[spec.tenant_id] = 0
-                    if self.executor == "thread":
+                    if self.executor == "serial":
                         self.engines[spec.tenant_id] = self._build_engine(spec)
                     continue
                 raise FleetError(
@@ -448,7 +344,7 @@ class FleetManager:
                 )
             chain = load_tenant_chain(self.checkpoint_dir, spec.tenant_id)
             cursors[spec.tenant_id] = chain.rounds
-            if self.executor == "thread":
+            if self.executor == "serial":
                 self.engines[spec.tenant_id] = restore_tenant_chain(
                     chain,
                     whois=self._tenant_whois(spec.tenant_id),
@@ -474,7 +370,7 @@ class FleetManager:
             # this run's rounds and seed from the old run's board.
             self._fleet_state_path().unlink(missing_ok=True)
         for spec in self.specs:
-            if self.executor == "thread":
+            if self.executor == "serial":
                 self.engines[spec.tenant_id] = self._build_engine(spec)
             if self.checkpoint_dir is not None:
                 # A stale checkpoint chain would shadow the fresh run.
@@ -488,55 +384,45 @@ class FleetManager:
 
     # ------------------------------------------------------------------
 
-    def _submit_tenant(
+    def _due(
         self,
-        pool: Executor,
-        spec: TenantSpec,
-        path: Path,
-        *,
+        specs: Sequence[TenantSpec],
+        files: dict[str, list[Path]],
+        cursors: dict[str, int],
         rnd: int,
-        bootstrap: bool,
-        seeds: frozenset[str],
     ):
-        if self.executor == "process":
-            ckpt = _tenant_checkpoint_path(self.checkpoint_dir, spec.tenant_id)
-            ckpt.parent.mkdir(parents=True, exist_ok=True)
-            return pool.submit(_process_worker, {
-                "tenant_id": spec.tenant_id,
-                "checkpoint_path": str(ckpt),
-                "log_path": str(path),
-                "bootstrap": bootstrap,
-                "seeds": sorted(seeds),
-                "pipeline": spec.pipeline,
-                "model_state": (
-                    str(spec.model_state)
-                    if spec.model_state is not None else None
-                ),
-                # Only enterprise engines query the registry; sparing
-                # DNS workers the parse keeps large fleets cheap.
-                "whois_path": (
-                    str(self.whois_path)
-                    if self.whois_path is not None
-                    and spec.pipeline == "enterprise" else None
-                ),
-                "internal_suffixes": list(spec.internal_suffixes),
-                "server_ips": sorted(spec.server_ips),
-                "config": (
-                    encode_config(self.config)
-                    if self.config is not None else None
-                ),
-                "ct_path": (
-                    str(self.ct_path) if self.ct_path is not None else None
-                ),
-                "metrics": self.metrics.enabled,
-            })
+        """The round's work among ``specs``: ``(spec, log file,
+        bootstrap)`` for each tenant active in round ``rnd`` that has
+        not already been recovered past it."""
+        for spec in specs:
+            tenant_files = files[spec.tenant_id]
+            file_index = self._file_index(spec, tenant_files, rnd)
+            if file_index is None or cursors[spec.tenant_id] > rnd:
+                continue
+            yield (
+                spec,
+                tenant_files[file_index],
+                file_index < spec.bootstrap_files,
+            )
 
-        detector = self.engines[spec.tenant_id]
-
-        def task() -> TenantDayReport | None:
-            report = _advance_one_day(
+    def _serial_round(
+        self,
+        files: dict[str, list[Path]],
+        cursors: dict[str, int],
+        rnd: int,
+    ) -> list[TenantDayReport]:
+        """Advance every due tenant one day, in spec order, in process."""
+        round_reports: list[TenantDayReport] = []
+        for spec, path, bootstrap in self._due(self.specs, files, cursors, rnd):
+            detector = self.engines[spec.tenant_id]
+            day_report = _advance_one_day(
                 detector, spec.tenant_id, path,
-                bootstrap=bootstrap, seeds=seeds, pipeline=spec.pipeline,
+                bootstrap=bootstrap,
+                seeds=(
+                    frozenset() if bootstrap
+                    else self.intel.seeds_for(spec.tenant_id)
+                ),
+                pipeline=spec.pipeline,
                 ct_edges=self.ct_index,
                 metrics=self.metrics,
             )
@@ -546,12 +432,13 @@ class FleetManager:
                     _tenant_checkpoint_path(
                         self.checkpoint_dir, spec.tenant_id
                     ),
-                    report.as_dict() if report is not None else None,
+                    day_report.as_dict() if day_report is not None else None,
                     rnd + 1,
                 )
-            return report
-
-        return pool.submit(task)
+            cursors[spec.tenant_id] = rnd + 1
+            if day_report is not None:
+                round_reports.append(day_report)
+        return round_reports
 
     def run(
         self,
@@ -578,9 +465,6 @@ class FleetManager:
                 # in memory for the report, and the file is complete
                 # for the next run (or `repro-detect intel`).
                 self.intel_store.close()
-            if self._transport_dir is not None:
-                self._transport_dir.cleanup()
-                self._transport_dir = None
 
     def _run(self, *, max_rounds, on_round) -> FleetReport:
         files = self._tenant_files()
@@ -595,66 +479,42 @@ class FleetManager:
         )
 
         report = FleetReport(intel=self.intel)
+        rounds = range(start_round, total_rounds)
         if self.executor == "resident":
             self._run_resident(
-                report, files, cursors, carried, start_round, total_rounds,
+                report, rounds, files, cursors, carried,
                 max_rounds=max_rounds, on_round=on_round,
             )
-            return report
-
-        rounds_executed = 0
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process"
-            else ThreadPoolExecutor
-        )
-        with pool_cls(max_workers=self.workers) as pool:
-            for rnd in range(start_round, total_rounds):
-                if max_rounds is not None and rounds_executed >= max_rounds:
-                    report.interrupted = True
-                    break
-                futures: dict[str, Any] = {}
-                for spec in self.specs:
-                    tenant_files = files[spec.tenant_id]
-                    file_index = self._file_index(spec, tenant_files, rnd)
-                    if file_index is None:
-                        continue
-                    if cursors[spec.tenant_id] > rnd:
-                        continue  # recovered past this round already
-                    bootstrap = file_index < spec.bootstrap_files
-                    seeds = (
-                        frozenset() if bootstrap
-                        else self.intel.seeds_for(spec.tenant_id)
-                    )
-                    futures[spec.tenant_id] = self._submit_tenant(
-                        pool, spec, tenant_files[file_index],
-                        rnd=rnd, bootstrap=bootstrap, seeds=seeds,
-                    )
-
-                # Barrier: collect in spec order (deterministic), then
-                # publish so day rnd+1 sees all of day rnd's findings.
-                round_reports: list[TenantDayReport] = []
-                for spec in self.specs:
-                    future = futures.get(spec.tenant_id)
-                    if future is None:
-                        continue
-                    result = future.result()
-                    cursors[spec.tenant_id] = rnd + 1
-                    if isinstance(result, dict):
-                        # Process-pool envelope: day report plus the
-                        # worker's metrics delta since its last ship.
-                        self._absorb_metrics(result)
-                        result = result.get("report")
-                        if result is not None:
-                            result = TenantDayReport.from_dict(result)
-                    if result is None:
-                        continue
-                    round_reports.append(result)
-                round_reports.extend(
-                    rep for c_rnd, rep in carried if c_rnd == rnd
-                )
-                self._commit_round(report, rnd, round_reports, on_round)
-                rounds_executed += 1
+        else:
+            self._drive(
+                report, rounds, carried,
+                lambda rnd: self._serial_round(files, cursors, rnd),
+                max_rounds=max_rounds, on_round=on_round,
+            )
         return report
+
+    def _drive(
+        self,
+        report: FleetReport,
+        rounds: range,
+        carried: list[tuple[int, TenantDayReport]],
+        advance,
+        *,
+        max_rounds,
+        on_round,
+    ) -> None:
+        """Run ``rounds`` through the executor's ``advance(rnd)`` (the
+        round's day reports, in spec order), committing each at its
+        barrier; stop after ``max_rounds`` rounds."""
+        for executed, rnd in enumerate(rounds):
+            if max_rounds is not None and executed >= max_rounds:
+                report.interrupted = True
+                break
+            round_reports = advance(rnd)
+            round_reports.extend(
+                rep for c_rnd, rep in carried if c_rnd == rnd
+            )
+            self._commit_round(report, rnd, round_reports, on_round)
 
     # ------------------------------------------------------------------
     # Round commitment (shared by every executor)
@@ -732,26 +592,15 @@ class FleetManager:
     def _run_resident(
         self,
         report: FleetReport,
+        rounds: range,
         files: dict[str, list[Path]],
         cursors: dict[str, int],
         carried: list[tuple[int, TenantDayReport]],
-        start_round: int,
-        total_rounds: int,
         *,
         max_rounds,
         on_round,
     ) -> None:
-        """Drive the rounds over long-lived resident workers.
-
-        Per round: sync each worker's prior-board replica with the
-        board delta since its last sync, send the round's
-        ``ADVANCE_DAY`` tasks, collect responses (respawning any dead
-        worker from its checkpoints), then hold the checkpoint barrier
-        before publishing -- so the fleet-state commit never runs ahead
-        of the tenants' durable state.  Without a checkpoint directory
-        the barrier (and crash recovery) is skipped entirely --
-        durability-free parallelism for ephemeral runs.
-        """
+        """Drive the rounds over long-lived resident workers."""
         self.worker_stats = {}
         pool = ResidentPool(
             self.specs,
@@ -762,76 +611,92 @@ class FleetManager:
             resume=self.resume,
             heartbeat=self.heartbeat,
             full_every=self.full_checkpoint_every,
-            window_shards=self.window_shards,
             metrics_enabled=self.metrics.enabled,
             ct_path=self.ct_path,
         )
         self.resident_pool = pool
         try:
-            rounds_executed = 0
-            for rnd in range(start_round, total_rounds):
-                if max_rounds is not None and rounds_executed >= max_rounds:
-                    report.interrupted = True
-                    break
-                results: dict[str, TenantDayReport] = {}
-                waiting: list[WorkerHandle] = []
-                for handle in list(pool.workers):
-                    self._sync_board(pool, handle)
-                    tasks = self._resident_tasks(pool, handle, files,
-                                                 cursors, rnd)
-                    if tasks:
-                        pool.send(handle, {
-                            "cmd": CMD_ADVANCE_DAY,
-                            "round": rnd,
-                            "tasks": tasks,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="advance_day"
-                        ).inc()
-                        waiting.append(handle)
-                advanced: list[WorkerHandle] = []
-                for handle in waiting:
-                    try:
-                        response = pool.recv(handle)
-                    except WorkerDied:
-                        handle, response = self._recover_worker(
-                            pool, handle, files, cursors, rnd, results
-                        )
-                    self._absorb_advance(handle, response, cursors,
-                                         results, rnd)
-                    advanced.append(handle)
-
-                if self.checkpoint_dir is not None:
-                    # Checkpoint barrier: every advanced worker commits
-                    # its tenants' chains before the fleet state moves
-                    # on.
-                    for handle in advanced:
-                        pool.send(handle, {
-                            "cmd": CMD_CHECKPOINT, "round": rnd + 1,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="checkpoint"
-                        ).inc()
-                    for handle in advanced:
-                        try:
-                            self._absorb_metrics(pool.recv(handle))
-                        except WorkerDied:
-                            self._recover_worker(
-                                pool, handle, files, cursors, rnd, results
-                            )
-
-                round_reports = [
-                    results[spec.tenant_id]
-                    for spec in self.specs
-                    if spec.tenant_id in results
-                ]
-                round_reports.extend(
-                    rep for c_rnd, rep in carried if c_rnd == rnd
-                )
-                self._commit_round(report, rnd, round_reports, on_round)
-                rounds_executed += 1
+            self._drive(
+                report, rounds, carried,
+                lambda rnd: self._resident_round(pool, files, cursors, rnd),
+                max_rounds=max_rounds, on_round=on_round,
+            )
         finally:
             pool.shutdown()
+
+    def _resident_round(
+        self,
+        pool: ResidentPool,
+        files: dict[str, list[Path]],
+        cursors: dict[str, int],
+        rnd: int,
+    ) -> list[TenantDayReport]:
+        """One round over the resident workers.
+
+        Sync each worker's prior-board replica with the board delta
+        since its last sync, send the round's ``ADVANCE_DAY`` tasks,
+        collect responses (respawning any dead worker from its
+        checkpoints), then hold the checkpoint barrier before the
+        caller publishes -- so the fleet-state commit never runs ahead
+        of the tenants' durable state.  Without a checkpoint directory
+        the barrier (and crash recovery) is skipped entirely --
+        durability-free parallelism for ephemeral runs.
+        """
+        results: dict[str, TenantDayReport] = {}
+        waiting: list[WorkerHandle] = []
+        for handle in list(pool.workers):
+            self._sync_board(pool, handle)
+            tasks = [
+                {
+                    "tenant_id": spec.tenant_id,
+                    "log_path": str(path),
+                    "bootstrap": bootstrap,
+                }
+                for spec, path, bootstrap in self._due(
+                    pool.specs_of(handle), files, cursors, rnd
+                )
+            ]
+            if tasks:
+                pool.send(handle, {
+                    "cmd": CMD_ADVANCE_DAY,
+                    "round": rnd,
+                    "tasks": tasks,
+                })
+                self.metrics.counter(
+                    "fleet_commands_total", cmd="advance_day"
+                ).inc()
+                waiting.append(handle)
+        advanced: list[WorkerHandle] = []
+        for handle in waiting:
+            try:
+                response = pool.recv(handle)
+            except WorkerDied:
+                handle, response = self._recover_worker(
+                    pool, handle, files, cursors, rnd, results
+                )
+            self._absorb_advance(handle, response, cursors, results, rnd)
+            advanced.append(handle)
+
+        if self.checkpoint_dir is not None:
+            # Checkpoint barrier: every advanced worker commits its
+            # tenants' chains before the fleet state moves on.
+            for handle in advanced:
+                pool.send(handle, {"cmd": CMD_CHECKPOINT, "round": rnd + 1})
+                self.metrics.counter(
+                    "fleet_commands_total", cmd="checkpoint"
+                ).inc()
+            for handle in advanced:
+                try:
+                    self._absorb_metrics(pool.recv(handle))
+                except WorkerDied:
+                    self._recover_worker(
+                        pool, handle, files, cursors, rnd, results
+                    )
+        return [
+            results[spec.tenant_id]
+            for spec in self.specs
+            if spec.tenant_id in results
+        ]
 
     def _sync_board(self, pool: ResidentPool, handle: WorkerHandle) -> None:
         """Ship the prior-board delta since the worker's last sync."""
@@ -842,30 +707,6 @@ class FleetManager:
                 "fleet_commands_total", cmd="inject_intel"
             ).inc()
         handle.synced_revision = revision
-
-    def _resident_tasks(
-        self,
-        pool: ResidentPool,
-        handle: WorkerHandle,
-        files: dict[str, list[Path]],
-        cursors: dict[str, int],
-        rnd: int,
-    ) -> list[dict[str, Any]]:
-        """The round's ``ADVANCE_DAY`` task list for one worker."""
-        tasks: list[dict[str, Any]] = []
-        for spec in pool.specs_of(handle):
-            tenant_files = files[spec.tenant_id]
-            file_index = self._file_index(spec, tenant_files, rnd)
-            if file_index is None:
-                continue
-            if cursors[spec.tenant_id] > rnd:
-                continue  # recovered past this round already
-            tasks.append({
-                "tenant_id": spec.tenant_id,
-                "log_path": str(tenant_files[file_index]),
-                "bootstrap": file_index < spec.bootstrap_files,
-            })
-        return tasks
 
     def _absorb_advance(
         self,

@@ -1,12 +1,10 @@
 """Resident fleet workers: long-lived per-tenant engine processes.
 
-The fleet's original process executor shipped each tenant's *entire*
-engine snapshot through a checkpoint file every round -- O(lifetime
-history) serialization per tenant-day, which made ``--executor
-process`` slower than serial.  This module replaces it with **resident
-workers**: N long-lived processes, each owning a stable subset of
-tenants whose streaming engines stay in worker memory across rounds.
-Only three thin flows cross the process boundary per round:
+The fleet's parallel executor is **resident workers**: N long-lived
+processes, each owning a stable subset of tenants whose streaming
+engines stay in worker memory across rounds, so no tenant's engine
+snapshot is shipped per round.  Only three thin flows cross the
+process boundary per round:
 
 * ``INJECT_INTEL`` (manager -> worker): new cross-tenant prior-board
   entries since the worker's last sync (:meth:`IntelPlane.board_delta`
@@ -49,7 +47,7 @@ from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
-from ..intel.whois_db import WhoisDatabase, load_whois_file
+from ..intel.whois_db import WhoisDatabase
 from ..logs.dns import parse_dns_log
 from ..logs.proxy import parse_proxy_log
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -69,8 +67,6 @@ from ..streaming import (
     StreamingDetector,
     StreamingEnterpriseDetector,
 )
-from ..streaming.events import dns_connection_stream, shard_of
-from ..profiling.rare import DailyTraffic, merge_daily_traffic
 from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
 from .manifest import TenantSpec
 from .report import TenantDayReport
@@ -100,36 +96,13 @@ class WorkerDied(FleetError):
 # Worker-resident read-only intel
 # ---------------------------------------------------------------------------
 
-_WHOIS_MEMO: dict[str, WhoisDatabase] = {}
-
-
-def load_whois_cached(path: str | Path) -> WhoisDatabase:
-    """Parse a registration-registry file once per process and memoize.
-
-    Pool and resident workers alike live across rounds; re-parsing the
-    (read-only) registry every round submission was pure overhead and
-    reset all cache accounting.  The memo key is the path string --
-    fleet runs never rewrite the registry mid-run.  Both registry
-    formats load here: classic WHOIS JSON and RDAP fixture documents
-    (see :func:`repro.intelstore.rdap.load_registration_registry`).
-    """
-    from ..intelstore.rdap import load_registration_registry
-
-    key = str(path)
-    registry = _WHOIS_MEMO.get(key)
-    if registry is None:
-        registry = load_registration_registry(path)
-        _WHOIS_MEMO[key] = registry
-    return registry
-
-
 class WorkerIntelCache:
     """Worker-resident memoized WHOIS lookups with tenant attribution.
 
     Shaped like the plane for :class:`TenantWhoisView` (it only needs
     ``whois_lookup(tenant_id, domain)``), so enterprise engines inside
     a resident worker route feature-extraction lookups through this
-    cache exactly as thread-mode engines route through the
+    cache exactly as serial-mode engines route through the
     :class:`~repro.fleet.intel.IntelPlane`.  :meth:`stats_delta`
     returns the accounting accrued since the previous call; the worker
     ships it with each ``ADVANCE_DAY`` response and the manager absorbs
@@ -187,39 +160,6 @@ def _scored_detections(report: StreamDayReport) -> dict[str, float]:
     return scores
 
 
-def _ingest_day_sharded(detector, records, n_shards: int) -> None:
-    """Aggregate one DNS day through per-host-shard windows, merged.
-
-    The resident workers' promotion of the event bus's host shards
-    into real aggregation shards: connections are bucketed by
-    :func:`~repro.streaming.events.shard_of`, each bucket builds its
-    own :class:`DailyTraffic`, and the shards are merged at the
-    barrier (:func:`merge_daily_traffic`) before rollover recomputes
-    rarity and detection from the merged aggregate.  Byte-identical to
-    serial ingestion because host-hash shards keep every (host,
-    domain) series whole.  Valid only from an empty window on the DNS
-    path (no UA staging) -- callers guard.
-    """
-    window = detector.window
-    connections = list(
-        dns_connection_stream(
-            records,
-            detector.funnel,
-            fold_level=detector.config.rarity.fold_level,
-        )
-    )
-    buckets: list[list] = [[] for _ in range(n_shards)]
-    for conn in connections:
-        buckets[shard_of(conn.host, n_shards)].append(conn)
-    shards = [DailyTraffic(window.day) for _ in range(n_shards)]
-    for shard, bucket in zip(shards, buckets):
-        shard.ingest(bucket)
-    window.traffic = merge_daily_traffic(shards, day=window.day)
-    window.traffic.index()
-    window.events_today = len(connections)
-    detector.events_total += len(connections)
-
-
 def _advance_one_day(
     detector,
     spec_id: str,
@@ -229,7 +169,6 @@ def _advance_one_day(
     seeds: Set[str],
     pipeline: str = "dns",
     ct_edges=None,
-    window_shards: int = 1,
     metrics=None,
 ) -> TenantDayReport | None:
     """Feed one log file through a tenant's engine; close the day.
@@ -242,28 +181,12 @@ def _advance_one_day(
     of the day is timed through an obs span (``worker_advance``), so
     the per-tenant ``elapsed_seconds`` in the report and the
     fleet-wide timing histogram come from the same measurement.
-
-    ``window_shards > 1`` routes eligible DNS days through
-    :func:`_ingest_day_sharded` (aggregation shards merged at the
-    barrier); enterprise days and non-empty windows keep the serial
-    path.
     """
     obs = metrics if metrics is not None else NULL_METRICS
-    sharded = (
-        window_shards > 1
-        and pipeline != "enterprise"
-        and detector.window.ua_history is None
-        and detector.window.events_today == 0
-        and len(detector.bus) == 0
-    )
     with obs.span("worker_advance") as advance_span:
         with path.open() as handle:
             if pipeline == "enterprise":
                 detector.submit_raw(parse_proxy_log(handle))
-            elif sharded:
-                _ingest_day_sharded(
-                    detector, parse_dns_log(handle), window_shards
-                )
             else:
                 detector.submit_raw(parse_dns_log(handle))
         detector.poll()
@@ -316,8 +239,8 @@ def _save_tenant_checkpoint(
     """Write one tenant's full checkpoint wrapper atomically.
 
     A full write supersedes the tenant's delta chain, so the sidecar is
-    truncated here -- keeping the invariant that every executor's
-    checkpoints (the thread/process modes write fulls every round) are
+    truncated here -- keeping the invariant that both executors'
+    checkpoints (the serial executor writes fulls every round) are
     readable through :func:`load_tenant_chain`.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -586,8 +509,13 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
         needs_whois = init["whois_path"] is not None and any(
             tenant["pipeline"] == "enterprise" for tenant in init["tenants"]
         )
+        # Both registry formats load here: classic WHOIS JSON and RDAP
+        # fixture documents.
+        from ..intelstore.rdap import load_registration_registry
+
         cache = WorkerIntelCache(
-            load_whois_cached(init["whois_path"]) if needs_whois else None
+            load_registration_registry(init["whois_path"])
+            if needs_whois else None
         )
         ct_index = None
         if init.get("ct_path") is not None:
@@ -641,7 +569,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                         seeds=seeds,
                         pipeline=runtime.pipeline,
                         ct_edges=ct_index,
-                        window_shards=init["window_shards"],
                         metrics=metrics,
                     )
                     runtime.cursor = rnd + 1
@@ -745,7 +672,6 @@ class ResidentPool:
         resume: bool,
         heartbeat: float = 5.0,
         full_every: int = 16,
-        window_shards: int = 1,
         metrics_enabled: bool = False,
         ct_path: Path | None = None,
     ) -> None:
@@ -757,7 +683,6 @@ class ResidentPool:
         self.config = config
         self.heartbeat = heartbeat
         self.full_every = full_every
-        self.window_shards = window_shards
         self.metrics_enabled = metrics_enabled
         count = max(1, min(workers, len(specs)))
         self._assignment: list[list[TenantSpec]] = [
@@ -791,7 +716,6 @@ class ResidentPool:
             ),
             "resume": resume,
             "full_every": self.full_every,
-            "window_shards": self.window_shards,
             "metrics": self.metrics_enabled,
             "tenants": [
                 {

@@ -18,6 +18,7 @@ hosts, not servers).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from math import isfinite
 
 from .records import DnsRecord, DnsRecordType
 
@@ -38,7 +39,8 @@ def format_dns_line(record: DnsRecord) -> str:
 def parse_dns_line(line: str) -> DnsRecord:
     """Parse one log line into a :class:`DnsRecord`.
 
-    Raises :class:`DnsLogFormatError` on malformed input.
+    Raises :class:`DnsLogFormatError` on malformed input, including a
+    non-finite (``nan``/``inf``) timestamp.
     """
     parts = line.split()
     if len(parts) != 5:
@@ -48,6 +50,8 @@ def parse_dns_line(line: str) -> DnsRecord:
         timestamp = float(raw_ts)
     except ValueError as exc:
         raise DnsLogFormatError(f"bad timestamp {raw_ts!r}") from exc
+    if not isfinite(timestamp):
+        raise DnsLogFormatError(f"non-finite timestamp {raw_ts!r}")
     try:
         record_type = DnsRecordType(raw_type)
     except ValueError as exc:

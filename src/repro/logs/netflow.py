@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from math import isfinite
 
 from .records import Connection, DnsRecord
 
@@ -61,13 +62,17 @@ def format_netflow_line(record: NetflowRecord) -> str:
 
 
 def parse_netflow_line(line: str) -> NetflowRecord:
-    """Parse one flow log line."""
+    """Parse one flow log line.
+
+    Raises :class:`NetflowFormatError` on malformed input, including a
+    non-finite (``nan``/``inf``) timestamp.
+    """
     parts = line.split()
     if len(parts) != 7:
         raise NetflowFormatError(f"expected 7 fields, got {len(parts)}: {line!r}")
     raw_ts, src, dst, raw_port, proto, raw_bytes, raw_packets = parts
     try:
-        return NetflowRecord(
+        record = NetflowRecord(
             timestamp=float(raw_ts),
             source_ip=src,
             destination_ip=dst,
@@ -78,6 +83,9 @@ def parse_netflow_line(line: str) -> NetflowRecord:
         )
     except ValueError as exc:
         raise NetflowFormatError(f"bad numeric field in {line!r}") from exc
+    if not isfinite(record.timestamp):
+        raise NetflowFormatError(f"non-finite timestamp {raw_ts!r}")
+    return record
 
 
 def parse_netflow_log(

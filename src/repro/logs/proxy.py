@@ -16,6 +16,7 @@ field.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from math import isfinite
 
 from .records import ProxyRecord
 
@@ -52,7 +53,11 @@ def format_proxy_line(record: ProxyRecord) -> str:
 
 
 def parse_proxy_line(line: str) -> ProxyRecord:
-    """Parse one tab-separated log line into a :class:`ProxyRecord`."""
+    """Parse one tab-separated log line into a :class:`ProxyRecord`.
+
+    Raises :class:`ProxyLogFormatError` on malformed input, including a
+    non-finite (``nan``/``inf``) timestamp or timezone offset.
+    """
     parts = line.rstrip("\n").split("\t")
     if len(parts) != _FIELD_COUNT:
         raise ProxyLogFormatError(
@@ -66,6 +71,8 @@ def parse_proxy_line(line: str) -> ProxyRecord:
         status = int(raw_status)
     except ValueError as exc:
         raise ProxyLogFormatError(f"bad numeric field in {line!r}") from exc
+    if not (isfinite(timestamp) and isfinite(tz_offset)):
+        raise ProxyLogFormatError(f"non-finite time field in {line!r}")
     return ProxyRecord(
         timestamp=timestamp,
         source_ip=source_ip,

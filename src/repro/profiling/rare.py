@@ -503,7 +503,7 @@ class DailyTraffic:
 
         :meth:`ingest` finalizes its own span, so this is a cheap no-op
         on the streaming access pattern; it exists so out-of-band
-        appenders (bulk restore, merge) can defer the grouping pass.
+        appenders (bulk restore) can defer the grouping pass.
         """
         if self._n_finalized != self._n_events:
             self._finalize_pending()
@@ -532,24 +532,6 @@ class DailyTraffic:
         self._pair_names[pair] = (host, domain)
         self.hosts_by_domain[domain].add(host)
         self.domains_by_host[host].add(domain)
-
-    def _extend_series(
-        self, host: str, domain: str, times: list[float]
-    ) -> None:
-        """Merge a sorted series fragment into the pair's series
-        (shard-merge path; tolerates pair collisions across shards)."""
-        h_id = self._host_ids.get(host)
-        d_id = self._domain_ids.get(domain)
-        existing = (
-            self._series.get((h_id << _PAIR_SHIFT) | d_id)
-            if h_id is not None and d_id is not None
-            else None
-        )
-        if existing is None:
-            self.load_series(host, domain, times)
-            return
-        existing += [float(t) for t in times]
-        existing.sort()
 
     # ------------------------------------------------------------------
     # Queries
@@ -648,51 +630,6 @@ def extract_rare_domains(
         if len(hosts) < unpopular_max_hosts and history.is_new(domain):
             rare.add(domain)
     return rare
-
-
-def merge_daily_traffic(
-    shards: Iterable[DailyTraffic], *, day: int | None = None
-) -> DailyTraffic:
-    """Union per-shard day aggregates into one :class:`DailyTraffic`.
-
-    Sound when the shards partition connections by *host* hash (the
-    event bus's :func:`~repro.streaming.events.shard_of`): every
-    (host, domain) timestamp series then lives wholly inside one shard,
-    so the pair-keyed series are disjoint and concatenate trivially,
-    while the domain-keyed host/IP sets union commutatively.  The
-    result is indistinguishable from ingesting all connections into a
-    single aggregate, which is what makes a sharded day's rollover
-    detections byte-identical to serial ingestion (the property the
-    resident fleet workers' sharded windows rely on).
-
-    The merged aggregate carries no armed index; callers needing one
-    build it with :meth:`DailyTraffic.index` after merging.
-    """
-    shards = list(shards)
-    if day is None:
-        day = shards[0].day if shards else 0
-    merged = DailyTraffic(day)
-    for shard in shards:
-        shard.finalize()
-        for domain, hosts in shard.hosts_by_domain.items():
-            merged.hosts_by_domain[domain] |= hosts
-        for host, domains in shard.domains_by_host.items():
-            merged.domains_by_host[host] |= domains
-        host_names = shard._host_names
-        domain_names = shard._domain_names
-        for pair, times in shard._series.items():
-            merged._extend_series(
-                host_names[pair >> _PAIR_SHIFT],
-                domain_names[pair & _DOMAIN_MASK],
-                times,
-            )
-        for domain, ips in shard.resolved_ips.items():
-            merged.resolved_ips[domain] |= ips
-        for domain, hosts in shard.no_referer_hosts.items():
-            merged.no_referer_hosts[domain] |= hosts
-        for domain, hosts in shard.rare_ua_hosts.items():
-            merged.rare_ua_hosts[domain] |= hosts
-    return merged
 
 
 def rare_domains_by_host(

@@ -185,3 +185,38 @@ class TestEnterpriseStreamCommand:
         assert pipelines == ["dns", "dns", "enterprise"]
         assert manifest["whois"] == "intel/whois.json"
         assert (out / "t2" / "model.json").exists()
+
+
+class TestFleetExecutorFlag:
+    @pytest.mark.parametrize("removed, replacement", [
+        ("thread", "--executor serial"),
+        ("process", "--executor resident"),
+    ])
+    def test_removed_executor_exits_2_naming_replacement(
+        self, tmp_path, capsys, removed, replacement
+    ):
+        code = main([
+            "fleet", str(tmp_path / "manifest.json"), "--executor", removed,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: --executor {removed} was removed")
+        assert replacement in err
+
+
+class TestNonFiniteTimestamps:
+    def test_nan_line_is_dropped_not_fatal(self, tmp_path, capsys):
+        # One appended `nan` line used to abort the whole run in the
+        # reduction funnel; it must cost only that line.
+        world = tmp_path / "w7"
+        main(["generate", str(world), "--seed", "7", "--hosts", "40",
+              "--days", "4"])
+        capsys.readouterr()
+        assert main(["run", str(world)]) == 0
+        clean = capsys.readouterr().out
+        last = sorted(world.glob("dns-*.log"))[-1]
+        with last.open("a") as handle:
+            handle.write("nan 10.0.234.97 A ronusu.n1 -\n")
+        assert main(["run", str(world)]) == 0
+        assert capsys.readouterr().out == clean

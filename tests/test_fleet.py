@@ -209,11 +209,11 @@ class TestFleetRun:
 
     def test_tenant_isolation(self, serial_report, fleet_dataset, fleet_layout):
         # A domain unique to one tenant's world must never surface in
-        # another tenant's detections, and parallel execution must keep
-        # per-tenant histories disjoint from other tenants' traffic.
+        # another tenant's detections, and the in-process engines must
+        # keep per-tenant histories disjoint from other tenants' traffic.
         detected = _detections(serial_report)
         manifest = load_manifest(fleet_layout)
-        manager = FleetManager.from_manifest(manifest, workers=N_TENANTS)
+        manager = FleetManager.from_manifest(manifest)
         manager.run()
         for tenant_id, dataset in fleet_dataset.tenants.items():
             own = {
@@ -231,16 +231,10 @@ class TestFleetRun:
 
     def test_serial_parallel_parity(self, fleet_layout, serial_report):
         manifest = load_manifest(fleet_layout)
-        parallel = FleetManager.from_manifest(manifest, workers=3).run()
-        assert _detections(parallel) == _detections(serial_report)
-
-    def test_process_executor_parity(self, fleet_layout, serial_report, tmp_path):
-        manifest = load_manifest(fleet_layout)
-        report = FleetManager.from_manifest(
-            manifest, workers=2, executor="process",
-            checkpoint_dir=tmp_path / "ckpt",
+        parallel = FleetManager.from_manifest(
+            manifest, workers=3, executor="resident",
         ).run()
-        assert _detections(report) == _detections(serial_report)
+        assert _detections(parallel) == _detections(serial_report)
 
     def test_rejects_bad_configuration(self, fleet_layout, tmp_path):
         manifest = load_manifest(fleet_layout)
@@ -250,6 +244,18 @@ class TestFleetRun:
             FleetManager.from_manifest(manifest, workers=0)
         with pytest.raises(FleetError, match="executor"):
             FleetManager.from_manifest(manifest, executor="greenlet")
+        with pytest.raises(FleetError, match="executor='resident'"):
+            FleetManager.from_manifest(manifest, executor="process")
+        with pytest.raises(FleetError, match="executor='resident'"):
+            FleetManager.from_manifest(manifest, workers=3)
+        with pytest.raises(FleetError, match="executor='resident'"):
+            FleetManager.from_manifest(
+                manifest, executor="serial", workers=3
+            )
+        # The removed thread executor's name still selects serial.
+        assert FleetManager.from_manifest(
+            manifest, executor="thread"
+        ).executor == "serial"
         with pytest.raises(FleetError, match="resume requires"):
             FleetManager.from_manifest(manifest, resume=True)
         with pytest.raises(FleetError, match="no fleet checkpoint"):
@@ -271,18 +277,19 @@ class TestFleetRun:
 # ---------------------------------------------------------------------------
 
 class TestFleetCheckpoint:
-    @pytest.mark.parametrize("executor", ["thread", "process", "resident"])
+    @pytest.mark.parametrize("executor", ["serial", "resident"])
     def test_interrupt_resume_matches_full_run(
         self, fleet_layout, serial_report, tmp_path, executor
     ):
         manifest = load_manifest(fleet_layout)
         ckpt = tmp_path / f"ckpt-{executor}"
+        workers = 2 if executor == "resident" else 1
         first = FleetManager.from_manifest(
-            manifest, workers=2, executor=executor, checkpoint_dir=ckpt,
+            manifest, workers=workers, executor=executor, checkpoint_dir=ckpt,
         ).run(max_rounds=2)
         assert first.interrupted
         second = FleetManager.from_manifest(
-            manifest, workers=2, executor=executor,
+            manifest, workers=workers, executor=executor,
             checkpoint_dir=ckpt, resume=True,
         ).run()
         assert not second.interrupted
@@ -370,7 +377,9 @@ class TestFleetCommand:
         manifest = str(out / "manifest.json")
         assert main(["fleet", manifest, "--workers", "1"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(["fleet", manifest, "--workers", "3"]) == 0
+        assert main([
+            "fleet", manifest, "--executor", "resident", "--workers", "3",
+        ]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
         assert "Fleet detection report" in serial_out
@@ -577,33 +586,10 @@ class TestMixedFleetRun:
 
     def test_serial_parallel_parity(self, mixed_layout, mixed_serial):
         manifest = load_manifest(mixed_layout)
-        parallel = FleetManager.from_manifest(manifest, workers=3).run()
-        assert _detections(parallel) == _detections(mixed_serial)
-
-    def test_process_interrupt_resume_matches_serial(
-        self, mixed_layout, mixed_serial, tmp_path
-    ):
-        # The acceptance scenario: a mixed-pipeline fleet interrupted
-        # mid-run resumes from per-tenant checkpoints (enterprise
-        # engines restored with their trained models and the shared
-        # WHOIS registry) to the uninterrupted outcome.
-        manifest = load_manifest(mixed_layout)
-        ckpt = tmp_path / "ckpt"
-        first = FleetManager.from_manifest(
-            manifest, workers=2, executor="process", checkpoint_dir=ckpt,
-        ).run(max_rounds=2)
-        assert first.interrupted
-        second = FleetManager.from_manifest(
-            manifest, workers=2, executor="process",
-            checkpoint_dir=ckpt, resume=True,
+        parallel = FleetManager.from_manifest(
+            manifest, workers=3, executor="resident",
         ).run()
-        assert not second.interrupted
-        combined = {}
-        for day in first.days + second.days:
-            combined.setdefault(day.tenant_id, []).extend(day.detected)
-        assert {t: sorted(d) for t, d in combined.items()} == _detections(
-            mixed_serial
-        )
+        assert _detections(parallel) == _detections(mixed_serial)
 
     def test_whois_lookups_count_cross_tenant_hits(self, mixed_serial):
         stats = mixed_serial.intel.whois_cache.stats

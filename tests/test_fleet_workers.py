@@ -2,7 +2,8 @@
 
 The load-bearing properties: resident workers produce byte-identical
 per-tenant detections at any worker count (including mixed-pipeline
-fleets and sharded window aggregation); a SIGKILLed worker's tenants
+fleets); a checkpoint directory written by one executor resumes under
+the other; a SIGKILLed worker's tenants
 respawn from their checkpoint chains and resume losslessly while the
 other workers keep running; ``INJECT_INTEL`` is applied before any
 later ``ADVANCE_DAY`` on the same queue (FIFO ordered delivery); and
@@ -58,13 +59,6 @@ class TestResidentParity:
         ).run()
         assert _detections(report) == serial_detections
 
-    def test_window_shards_keep_parity(self, mixed_layout, serial_detections):
-        manifest = load_manifest(mixed_layout)
-        report = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident", window_shards=4,
-        ).run()
-        assert _detections(report) == serial_detections
-
     def test_worker_stats_cover_all_tenants(self, mixed_layout):
         manifest = load_manifest(mixed_layout)
         manager = FleetManager.from_manifest(
@@ -117,6 +111,39 @@ class TestResidentCheckpoints:
         second = FleetManager.from_manifest(
             manifest, workers=2, executor="resident",
             checkpoint_dir=ckpt, resume=True, full_checkpoint_every=2,
+        ).run()
+        assert not second.interrupted
+        combined = {}
+        for day in first.days + second.days:
+            combined.setdefault(day.tenant_id, []).extend(day.detected)
+        assert {
+            t: sorted(d) for t, d in combined.items()
+        } == serial_detections
+
+    @pytest.mark.parametrize("first_executor, second_executor", [
+        ("serial", "resident"),
+        ("resident", "serial"),
+    ])
+    def test_resume_under_the_other_executor(
+        self, mixed_layout, serial_detections, tmp_path,
+        first_executor, second_executor,
+    ):
+        # The chain format is executor-independent: serial writes full
+        # checkpoints every round, resident writes fulls plus deltas,
+        # and either reads the other's directory.
+        manifest = load_manifest(mixed_layout)
+        ckpt = tmp_path / "ckpt"
+        workers = {"serial": 1, "resident": 2}
+        first = FleetManager.from_manifest(
+            manifest, workers=workers[first_executor],
+            executor=first_executor, checkpoint_dir=ckpt,
+            full_checkpoint_every=2,
+        ).run(max_rounds=2)
+        assert first.interrupted
+        second = FleetManager.from_manifest(
+            manifest, workers=workers[second_executor],
+            executor=second_executor, checkpoint_dir=ckpt, resume=True,
+            full_checkpoint_every=2,
         ).run()
         assert not second.interrupted
         combined = {}

@@ -53,6 +53,16 @@ class TestNetflowParsing:
         with pytest.raises(NetflowFormatError):
             list(parse_netflow_log(["junk"], skip_malformed=False))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_is_malformed(self, raw):
+        good = format_netflow_line(flow())
+        bad = f"{raw} 10.0.0.1 93.184.216.34 443 TCP 1200 9"
+        with pytest.raises(NetflowFormatError, match="non-finite"):
+            parse_netflow_line(bad)
+        assert list(parse_netflow_log([good, bad])) == [flow()]
+        with pytest.raises(NetflowFormatError):
+            list(parse_netflow_log([good, bad], skip_malformed=False))
+
     def test_is_web(self):
         assert flow(destination_port=80).is_web
         assert flow(destination_port=8443).is_web

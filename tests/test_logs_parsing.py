@@ -17,6 +17,8 @@ from repro.logs import (
 )
 from repro.logs.dns import is_a_record, is_external_query, is_from_client
 
+NON_FINITE = ("nan", "inf", "-inf")
+
 
 def make_dns(**overrides) -> DnsRecord:
     base = dict(
@@ -83,6 +85,16 @@ class TestDnsRoundTrip:
         with pytest.raises(DnsLogFormatError):
             list(parse_dns_log(["garbage"], skip_malformed=False))
 
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_timestamp_is_malformed(self, raw):
+        good = format_dns_line(make_dns())
+        bad = f"{raw} 10.0.0.1 A evil.com 1.2.3.4"
+        with pytest.raises(DnsLogFormatError, match="non-finite"):
+            parse_dns_line(bad)
+        assert list(parse_dns_log([good, bad])) == [make_dns()]
+        with pytest.raises(DnsLogFormatError):
+            list(parse_dns_log([good, bad], skip_malformed=False))
+
 
 class TestProxyRoundTrip:
     def test_round_trip(self):
@@ -119,6 +131,21 @@ class TestProxyRoundTrip:
     def test_strict_mode_raises(self):
         with pytest.raises(ProxyLogFormatError):
             list(parse_proxy_log(["junk"], skip_malformed=False))
+
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_non_finite_time_field_is_malformed(self, raw, field):
+        # Field 0 is the local timestamp, field 1 the timezone offset;
+        # either one non-finite would poison the UTC conversion.
+        good = format_proxy_line(make_proxy())
+        parts = good.split("\t")
+        parts[field] = raw
+        bad = "\t".join(parts)
+        with pytest.raises(ProxyLogFormatError, match="non-finite"):
+            parse_proxy_line(bad)
+        assert list(parse_proxy_log([good, bad])) == [make_proxy()]
+        with pytest.raises(ProxyLogFormatError):
+            list(parse_proxy_log([good, bad], skip_malformed=False))
 
 
 class TestDnsFilters:

@@ -77,7 +77,8 @@ def summarize_streaming(payload) -> dict | None:
 
 def summarize_fleet(payload) -> dict | None:
     """Headline of the fleet bench: records/sec per executor mode,
-    with each mode's speedup over the serial baseline."""
+    with each mode's speedup over the serial baseline, plus the
+    best-of repeat count and the host's ``cpu_count``."""
     modes = payload.get("modes") if isinstance(payload, dict) else None
     if not modes:
         return None
@@ -99,6 +100,8 @@ def summarize_fleet(payload) -> dict | None:
         summary_modes[mode.get("mode")] = entry
     summary = {
         "smoke": payload.get("smoke"),
+        "cpu_count": payload.get("cpu_count"),
+        "repeats": modes[0].get("repeats"),
         "modes": summary_modes,
         "detect_parity": all(m.get("detect_parity") for m in modes),
     }
