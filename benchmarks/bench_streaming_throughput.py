@@ -41,7 +41,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.profiling.history import DestinationHistory
 from repro.profiling.rare import DailyTraffic, extract_rare_domains
 from repro.runner import detect_on_traffic
-from repro.streaming import StreamingDetector, dns_batch_stream
+from repro.streaming import StreamingDetector
 from repro.synthetic import generate_lanl_dataset
 from repro.synthetic.lanl import LanlConfig
 
@@ -78,8 +78,9 @@ def _bootstrap(dataset, metrics=None) -> StreamingDetector:
 def _stream_day(dataset, records, metrics=None):
     """One streaming pass over a day: micro-batches, score per batch.
 
-    Uses the fused columnar ingress (:func:`dns_batch_stream`), which
-    is the deployment-shaped hot path; detections are asserted equal
+    Uses the columnar DNS ingress
+    (:meth:`~repro.logs.reduction.ReductionFunnel.connection_batches`),
+    which is the deployment-shaped hot path; detections are asserted equal
     to the scalar batch pass, so the comparison stays apples-to-apples
     on outcome.  Returns ``(elapsed, per_event_latencies, streamed,
     report)``.
@@ -92,9 +93,8 @@ def _stream_day(dataset, records, metrics=None):
     # interleaved best-of-N runs otherwise cross-contaminate).
     gc.collect()
     start = time.perf_counter()
-    for batch in dns_batch_stream(
-        iter(records), detector.funnel, fold_level=3,
-        batch_size=MICRO_BATCH,
+    for batch in detector.funnel.connection_batches(
+        records, batch_size=MICRO_BATCH
     ):
         t0 = time.perf_counter()
         detector.submit(batch)
@@ -211,6 +211,8 @@ def test_streaming_throughput():
             "hosts": config.n_hosts,
             "events": n_events,
             "micro_batch": MICRO_BATCH,
+            "repeats": TIMING_RUNS,
+            "cpu_count": os.cpu_count(),
             "batch_events_per_sec": batch_eps,
             "stream_events_per_sec": stream_eps,
             # Ingest-stage rate from the instrumented arm's span sum:

@@ -133,6 +133,11 @@ def normalize_dns_records(
     pass -- :func:`~repro.logs.domains.fold_domain` is a pure function
     of the name and the (fixed) fold level, and real query streams
     repeat a small domain vocabulary millions of times.
+
+    No pipeline calls this: DNS ingress is
+    :meth:`~repro.logs.reduction.ReductionFunnel.connection_batches`.
+    It stays as the scalar reference the tests and the streaming bench
+    compare that path against.
     """
     folded: dict[str, str] = {}
     for record in records:

@@ -10,7 +10,9 @@ before any detection runs.  For DNS logs the steps are:
 Profiling then derives *new* and *rare* destinations on top of the
 reduced stream.  :class:`ReductionFunnel` streams records through the
 filters while counting distinct domains surviving each step per day --
-exactly the series plotted in Figure 2.
+exactly the series plotted in Figure 2 -- and
+:meth:`ReductionFunnel.connection_batches` turns the survivors into the
+columnar events every DNS consumer ingests.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..obs.metrics import NULL_METRICS
 from .dns import is_external_query
 from .domains import fold_domain
-from .records import DnsRecord, DnsRecordType
+from .records import ConnectionBatch, DnsRecord, DnsRecordType
 
 SECONDS_PER_DAY = 86_400
 
@@ -113,10 +116,11 @@ class ReductionFunnel:
         self._pend_drop_a = 0
         self._pend_drop_query = 0
         self._pend_drop_server = 0
-        # Streaming hot-path caches: folding and the internal-namespace
-        # test are pure functions of the raw domain name (the suffixes
-        # are fixed per funnel), so both are computed once per distinct
-        # domain.  Per-day stats are equally redundant per record: a
+        # Hot-path caches: folding and the internal-namespace test are
+        # pure functions of the raw domain name (the suffixes are fixed
+        # per funnel), so both are computed once per distinct domain;
+        # :meth:`connection_batches` reads the fold back for each kept
+        # row.  Per-day stats are equally redundant per record: a
         # domain's step sets only change the first time the domain
         # reaches a deeper step that day (tracked in ``_dom_depth``),
         # and the per-step record counts are plain ints flushed into
@@ -136,6 +140,8 @@ class ReductionFunnel:
         self._pend_kept = 0
 
     _FLUSH_EVERY = 4096
+    #: Records :meth:`reduce` pulls per :meth:`reduce_batch` call.
+    _CHUNK = 2048
 
     def _flush_stat_counts(self) -> None:
         """Fold the deferred per-step record counts into the stats."""
@@ -182,84 +188,17 @@ class ReductionFunnel:
             self._drop_counters["internal_server"].inc(self._pend_drop_server)
             self._pend_drop_server = 0
 
-    def reduce_record(self, record: DnsRecord) -> DnsRecord | None:
-        """Run one record through the filters; ``None`` when dropped.
-
-        This is the single-event path the streaming engine uses; the
-        accounting is identical to :meth:`reduce` so a replayed stream
-        produces the same Figure 2 funnel as a bulk pass.  The filter
-        predicates are inlined versions of
-        :func:`~repro.logs.dns.is_a_record` /
-        :func:`~repro.logs.dns.is_from_client` (memoized
-        :func:`~repro.logs.dns.is_external_query` in between), applied
-        in the same order with the same short-circuiting.
-        """
-        day = int(record.timestamp // SECONDS_PER_DAY)
-        cached = self._domain_memo.get(record.domain)
-        if cached is None:
-            cached = (
-                fold_domain(record.domain, self.fold_level),
-                is_external_query(record, self.internal_suffixes),
-            )
-            self._domain_memo[record.domain] = cached
-        domain, external = cached
-        if day != self._stat_day:
-            self._flush_stat_counts()
-            self._stat_day = day
-            domains = self.stats.domains
-            self._dom_all = domains["all"][day]
-            self._dom_a = domains["a_records"][day]
-            self._dom_ext = domains["filter_internal_queries"][day]
-            self._dom_kept = domains["filter_internal_servers"][day]
-            self._dom_depth = {}
-        # How deep the record gets through the funnel: 1 = dropped as
-        # non-A, 2 = internal query, 3 = internal server, 4 = kept.
-        if record.record_type is not DnsRecordType.A:
-            depth = 1
-        elif not external:
-            depth = 2
-        elif record.source_ip in self.server_ips:
-            depth = 3
-        else:
-            depth = 4
-        prev = self._dom_depth.get(domain, 0)
-        if depth > prev:
-            self._dom_depth[domain] = depth
-            if prev < 1:
-                self._dom_all.add(domain)
-            if prev < 2 <= depth:
-                self._dom_a.add(domain)
-            if prev < 3 <= depth:
-                self._dom_ext.add(domain)
-            if prev < 4 <= depth:
-                self._dom_kept.add(domain)
-        self._pend_all += 1
-        self._pending_seen += 1
-        if self._pending_seen >= self._FLUSH_EVERY:
-            self.flush_metrics()
-        if depth == 1:
-            self._pend_drop_a += 1
-            return None
-        self._pend_a += 1
-        if depth == 2:
-            self._pend_drop_query += 1
-            return None
-        self._pend_ext += 1
-        if depth == 3:
-            self._pend_drop_server += 1
-            return None
-        self._pend_kept += 1
-        self._pending_kept += 1
-        return record
-
     def reduce_batch(self, records: Iterable[DnsRecord]) -> list[DnsRecord]:
         """Run a chunk of records through the filters; returns the kept.
 
-        The chunked twin of :meth:`reduce_record`: identical filters,
-        identical accounting at every flush point, with the per-record
-        state hoisted into locals and folded back once per chunk.  The
-        fused columnar ingress uses this so the per-record cost is one
-        tight loop iteration instead of a method call.
+        The funnel's one filter loop.  The filter predicates are inlined
+        versions of :func:`~repro.logs.dns.is_a_record` /
+        :func:`~repro.logs.dns.is_from_client` (memoized
+        :func:`~repro.logs.dns.is_external_query` in between), applied
+        in that order with the same short-circuiting.  Per-record state
+        is hoisted into locals and folded back once per chunk (and at
+        each day boundary inside it), so the Figure 2 accounting is
+        exact at every flush point whatever the chunking.
         """
         memo = self._domain_memo
         fold_level = self.fold_level
@@ -309,6 +248,8 @@ class ReductionFunnel:
                 )
                 memo[record.domain] = cached
             domain, external = cached
+            # How deep the record gets through the funnel: 1 = dropped
+            # as non-A, 2 = internal query, 3 = internal server, 4 = kept.
             if record.record_type is not a_type:
                 depth = 1
             elif not external:
@@ -356,14 +297,58 @@ class ReductionFunnel:
         return kept
 
     def reduce(self, records: Iterable[DnsRecord]) -> Iterator[DnsRecord]:
-        """Yield records surviving all filters, updating the counters."""
+        """Yield records surviving all filters, updating the counters.
+
+        Records are pulled and filtered :attr:`_CHUNK` at a time through
+        :meth:`reduce_batch`; the metrics flush when the pass ends or
+        is closed early.
+        """
+        source = iter(records)
         try:
-            for record in records:
-                kept = self.reduce_record(record)
-                if kept is not None:
-                    yield kept
+            while chunk := list(islice(source, self._CHUNK)):
+                yield from self.reduce_batch(chunk)
         finally:
             self.flush_metrics()
+
+    def connection_batches(
+        self,
+        records: Iterable[DnsRecord],
+        *,
+        batch_size: int = 512,
+        skip: int = 0,
+    ) -> Iterator[ConnectionBatch]:
+        """Reduce raw DNS records into columnar connection batches.
+
+        The DNS ingress: every record :meth:`reduce` keeps becomes one
+        row of a :class:`~repro.logs.records.ConnectionBatch` of at
+        most ``batch_size`` rows, its domain folded through the
+        funnel's own memo (``fold_level``), so no per-event
+        :class:`~repro.logs.records.Connection` is built.  The first
+        ``skip`` kept rows are dropped after reduction -- a resumed
+        replay passes the events it already consumed, and the Figure 2
+        accounting still sees the whole file.
+        """
+        if batch_size < 1:
+            raise ValueError("batch size must be positive")
+        memo = self._domain_memo
+        times: list[float] = []
+        hosts: list[str] = []
+        domains: list[str] = []
+        ips: list[str] = []
+        rows = self.reduce(records)
+        try:
+            for record in islice(rows, skip, None):
+                times.append(record.timestamp)
+                hosts.append(record.source_ip)
+                domains.append(memo[record.domain][0])
+                ips.append(record.resolved_ip)
+                if len(times) >= batch_size:
+                    yield ConnectionBatch(times, hosts, domains, ips)
+                    times, hosts, domains, ips = [], [], [], []
+            if times:
+                yield ConnectionBatch(times, hosts, domains, ips)
+        finally:
+            rows.close()
 
     def observe_profiling_step(self, step: str, day: int, domains: Iterable[str]) -> None:
         """Record domains surviving a downstream profiling step.

@@ -29,7 +29,6 @@ from .core.scoring import (
     multi_host_beacon_heuristic,
 )
 from .logs.dns import parse_dns_log
-from .logs.normalize import normalize_dns_records
 from .logs.reduction import ReductionFunnel
 from .obs.metrics import NULL_METRICS
 from .profiling.history import DestinationHistory
@@ -239,22 +238,17 @@ class DnsLogRunner:
     # ------------------------------------------------------------------
 
     def _aggregate(self, raw_records) -> tuple[DailyTraffic, set[str], int]:
-        """Funnel + normalize + aggregate raw records into one day."""
-        records = list(self.funnel.reduce(raw_records))
-        connections = list(
-            normalize_dns_records(
-                records, fold_level=self.config.rarity.fold_level
-            )
-        )
+        """Funnel + aggregate raw records into one day."""
+        batches = list(self.funnel.connection_batches(raw_records))
         traffic = DailyTraffic(self._day_counter)
-        traffic.ingest(connections)
+        traffic.ingest(batches)
         traffic.finalize()
         rare = extract_rare_domains(
             traffic,
             self.history,
             unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
         )
-        return traffic, rare, len(records)
+        return traffic, rare, sum(len(batch) for batch in batches)
 
     def _read_day(self, path: Path) -> tuple[DailyTraffic, set[str], int]:
         with path.open() as handle:
@@ -292,8 +286,8 @@ class DnsLogRunner:
     ) -> RunnerDayReport:
         """Detect on one operational day of in-memory raw records.
 
-        The file-less analogue of :meth:`process` -- same funnel,
-        normalization and detection pass, so a day fed through here is
+        The file-less analogue of :meth:`process` -- same funnel and
+        detection pass, so a day fed through here is
         byte-identical to the same records parsed from a file.  The
         adversarial evasion harness drives both this and the streaming
         engine over identical record lists to assert batch/streaming

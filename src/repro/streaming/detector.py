@@ -53,7 +53,6 @@ from .engine import (
     resolve_replay_paths,
     validate_replay_intervals,
 )
-from .events import dns_connection_stream
 from .incremental import WarmStartConfig, warm_start_belief_propagation
 
 
@@ -142,11 +141,10 @@ class StreamingDetector(StreamingEngineBase):
     # ------------------------------------------------------------------
 
     def submit_raw(self, records: Iterable[DnsRecord]) -> int:
-        """Reduce + normalize raw DNS records onto the event bus."""
-        return self.bus.publish(
-            dns_connection_stream(
-                records, self.funnel, fold_level=self.config.rarity.fold_level
-            )
+        """Reduce raw DNS records onto the event bus as columnar batches."""
+        return sum(
+            self.bus.publish(batch)
+            for batch in self.funnel.connection_batches(records)
         )
 
     # ------------------------------------------------------------------
@@ -387,12 +385,10 @@ def replay_directory(
             metrics=metrics,
         )
 
-    def open_events(path: Path):
+    def open_batches(path: Path, skip: int):
         with path.open() as handle:
-            yield from dns_connection_stream(
-                parse_dns_log(handle),
-                detector.funnel,
-                fold_level=detector.config.rarity.fold_level,
+            yield from detector.funnel.connection_batches(
+                parse_dns_log(handle), batch_size=batch_size, skip=skip
             )
 
     def checkpoint() -> None:
@@ -403,10 +399,9 @@ def replay_directory(
         detector,
         paths,
         bootstrap_files=bootstrap_files,
-        open_events=open_events,
+        open_batches=open_batches,
         checkpoint=checkpoint,
         resume=resume,
-        batch_size=batch_size,
         score_every=score_every,
         checkpoint_every=checkpoint_every,
         max_batches=max_batches,

@@ -1,29 +1,23 @@
-"""Event ingestion layer: micro-batches, host sharding, DNS adaptation.
+"""Event ingestion layer: host sharding and micro-batches.
 
 The batch pipeline consumes whole days of records at once; a streaming
 deployment receives events continuously from many collectors.  This
 module provides the glue between the two worlds:
 
 * :class:`EventBus` -- an in-process, host-sharded queue of normalized
-  :class:`~repro.logs.records.Connection` events.  Sharding by host is
-  the natural partition for this workload: every per-day index the
-  detectors consume (timestamp series, ``host_rdom``) is keyed by
-  host first, so shard consumers never contend on the same series.
-  Shard assignment uses CRC32 so it is stable across processes and
-  Python hash randomization.
-* :func:`dns_connection_stream` -- adapts a raw DNS record stream into
-  normalized connections by routing single events through the existing
-  :class:`~repro.logs.reduction.ReductionFunnel` and
-  :func:`~repro.logs.normalize.normalize_dns_records`, so the
-  streaming path reuses the exact reduction and normalization code of
-  the batch pipeline (and the same Figure 2 accounting).
-* :func:`dns_batch_stream` -- the columnar twin of
-  :func:`dns_connection_stream`: one fused loop that reduces,
-  normalizes, and groups raw DNS records straight into
-  :class:`~repro.logs.records.ConnectionBatch` columns, skipping
-  per-event object creation entirely.
-* :func:`micro_batches` -- group any event iterator into bounded
-  batches, the unit of ingestion and scoring.
+  events, scalar :class:`~repro.logs.records.Connection` objects or
+  whole columnar :class:`~repro.logs.records.ConnectionBatch` items.
+  Sharding by host is the natural partition for this workload: every
+  per-day index the detectors consume (timestamp series,
+  ``host_rdom``) is keyed by host first, so shard consumers never
+  contend on the same series.  Shard assignment uses CRC32 so it is
+  stable across processes and Python hash randomization.
+* :func:`micro_batches` -- group any scalar event iterator into bounded
+  batches, the unit of ingestion and scoring on the proxy path.
+
+DNS events arrive already columnar: the reduction funnel's
+:meth:`~repro.logs.reduction.ReductionFunnel.connection_batches` is the
+one DNS ingress, shared with the batch runner.
 """
 
 from __future__ import annotations
@@ -33,10 +27,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from zlib import crc32
 
-from ..logs.domains import fold_domain
-from ..logs.normalize import normalize_dns_records
-from ..logs.records import Connection, ConnectionBatch, DnsRecord
-from ..logs.reduction import ReductionFunnel
+from ..logs.records import Connection, ConnectionBatch
 
 
 def shard_of(host: str, n_shards: int) -> int:
@@ -195,74 +186,6 @@ class EventBus:
                         return out
         self.drained += count
         return out
-
-
-def dns_connection_stream(
-    records: Iterable[DnsRecord],
-    funnel: ReductionFunnel,
-    *,
-    fold_level: int = 3,
-) -> Iterator[Connection]:
-    """Reduce + normalize a raw DNS record stream, one event at a time.
-
-    Both stages are the batch pipeline's own generators, so a replayed
-    stream is byte-identical to a bulk pass over the same records.
-    """
-    return normalize_dns_records(funnel.reduce(records), fold_level=fold_level)
-
-
-def dns_batch_stream(
-    records: Iterable[DnsRecord],
-    funnel: ReductionFunnel,
-    *,
-    fold_level: int = 3,
-    batch_size: int = 512,
-) -> Iterator[ConnectionBatch]:
-    """Reduce + normalize a raw DNS stream into columnar micro-batches.
-
-    Fuses the three per-event generators of the scalar path
-    (:meth:`~repro.logs.reduction.ReductionFunnel.reduce`,
-    :func:`~repro.logs.normalize.normalize_dns_records`,
-    :func:`micro_batches`) into one chunked loop that appends
-    surviving records straight into column lists -- no per-event
-    :class:`~repro.logs.records.Connection` objects and no generator
-    round-trips.  Reduction accounting runs through the funnel's own
-    :meth:`~repro.logs.reduction.ReductionFunnel.reduce_batch` and
-    folding is memoized exactly like the scalar normalizer, so the
-    Figure 2 funnel and the produced events are identical to
-    :func:`dns_connection_stream` + :func:`micro_batches`.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be positive")
-    reduce_batch = funnel.reduce_batch
-    folded: dict[str, str] = {}
-    times: list[float] = []
-    hosts: list[str] = []
-    domains: list[str] = []
-    ips: list[str] = []
-    chunk_size = max(batch_size, 2048)
-    source = iter(records)
-    try:
-        while True:
-            chunk = list(islice(source, chunk_size))
-            if not chunk:
-                break
-            for record in reduce_batch(chunk):
-                domain = folded.get(record.domain)
-                if domain is None:
-                    domain = fold_domain(record.domain, fold_level)
-                    folded[record.domain] = domain
-                times.append(record.timestamp)
-                hosts.append(record.source_ip)
-                domains.append(domain)
-                ips.append(record.resolved_ip)
-                if len(times) >= batch_size:
-                    yield ConnectionBatch(times, hosts, domains, ips)
-                    times, hosts, domains, ips = [], [], [], []
-        if times:
-            yield ConnectionBatch(times, hosts, domains, ips)
-    finally:
-        funnel.flush_metrics()
 
 
 def micro_batches(

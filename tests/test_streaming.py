@@ -137,6 +137,31 @@ class TestCheckpointRestore:
             assert got.cc_domains == want.cc_domains
             assert got.detected == want.detected
 
+    def test_resume_at_a_batch_size_that_does_not_divide_the_skip(
+        self, log_dir, lanl_dataset, tmp_path
+    ):
+        full = replay_directory(log_dir, **_replay_kwargs(lanl_dataset))
+
+        ckpt = tmp_path / "ckpt.json"
+        first = replay_directory(
+            log_dir, checkpoint_path=ckpt, max_batches=40,
+            **_replay_kwargs(lanl_dataset, batch_size=250),
+        )
+        assert first.interrupted
+        skip = load_streaming(ckpt).window.events_today
+        assert skip > 0 and skip % 97 != 0
+        second = replay_directory(
+            log_dir, checkpoint_path=ckpt, resume=True,
+            **_replay_kwargs(lanl_dataset, batch_size=97),
+        )
+        combined = first.reports + second.reports
+        assert [r.day for r in combined] == [r.day for r in full.reports]
+        for got, want in zip(combined, full.reports):
+            assert got.records == want.records
+            assert got.rare_domains == want.rare_domains
+            assert got.cc_domains == want.cc_domains
+            assert got.detected == want.detected
+
     def test_snapshot_round_trip_preserves_window(self, lanl_dataset, tmp_path):
         detector = StreamingDetector(
             internal_suffixes=lanl_dataset.internal_suffixes,
@@ -917,6 +942,41 @@ class TestEnterpriseReplay:
         combined = first.reports + second.reports
         assert [r.day for r in combined] == [r.day for r in full.reports]
         for got, want in zip(combined, full.reports):
+            assert got.rare_domains == want.rare_domains
+            assert got.cc_domains == want.cc_domains
+            assert got.detected == want.detected
+
+    def test_resume_at_a_batch_size_that_does_not_divide_the_skip(
+        self, enterprise_layout, tmp_path
+    ):
+        from repro.state import load_streaming_enterprise
+        from repro.streaming import replay_enterprise_directory
+
+        kwargs = dict(
+            model_state=enterprise_layout / "model.json",
+            whois_path=enterprise_layout / "whois.json",
+            bootstrap_files=0,
+        )
+        full = replay_enterprise_directory(
+            enterprise_layout, batch_size=400, **kwargs
+        )
+
+        ckpt = tmp_path / "ckpt.json"
+        first = replay_enterprise_directory(
+            enterprise_layout, checkpoint_path=ckpt, max_batches=7,
+            batch_size=250, **kwargs
+        )
+        assert first.interrupted
+        skip = load_streaming_enterprise(ckpt).window.events_today
+        assert skip > 0 and skip % 97 != 0
+        second = replay_enterprise_directory(
+            enterprise_layout, checkpoint_path=ckpt, resume=True,
+            batch_size=97, **kwargs
+        )
+        combined = first.reports + second.reports
+        assert [r.day for r in combined] == [r.day for r in full.reports]
+        for got, want in zip(combined, full.reports):
+            assert got.records == want.records
             assert got.rare_domains == want.rare_domains
             assert got.cc_domains == want.cc_domains
             assert got.detected == want.detected

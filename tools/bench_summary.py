@@ -53,6 +53,11 @@ def summarize_streaming(payload) -> dict | None:
         "stream_event_latency_p50_us": top.get("stream_event_latency_p50_us"),
         "detect_parity": all(r.get("detect_parity") for r in rows),
     }
+    # Best-of repeat count and the host's core count, when the bench
+    # recorded them (older JSONs lack the fields).
+    for key in ("repeats", "cpu_count"):
+        if key in top:
+            summary[key] = top[key]
     # Columnar ingest-stage rate (events folded into the window per
     # second, excluding generation and scoring), when the bench
     # recorded it (older JSONs lack the field).
