@@ -11,13 +11,20 @@ enterprise path threads through scoring.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 import numpy as np
 
+from goldens.worlds import (
+    aggregate,
+    commit,
+    enterprise_scorers,
+    linear_model,
+    random_day_connections,
+    random_whois,
+)
 from repro.config import LANL_CONFIG, SystemConfig
 from repro.core.beliefprop import belief_propagation
 from repro.core.pipeline import detect_on_enterprise_traffic
@@ -25,16 +32,11 @@ from repro.core.scoring import (
     AdditiveSimilarityScorer,
     BatchedSimilarityScorer,
     IncrementalAdditiveScorer,
-    RegressionCCScorer,
     RegressionSimilarityScorer,
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
 from repro.features.extract import SIMILARITY_FEATURE_NAMES, FeatureExtractor
-from repro.features.regression import LinearModel
-from repro.features.whois import WhoisFeatureExtractor
-from repro.intel.whois_db import WhoisDatabase
-from repro.logs.records import Connection
 from repro.profiling.history import DestinationHistory
 from repro.profiling.rare import (
     DailyTraffic,
@@ -43,100 +45,6 @@ from repro.profiling.rare import (
 )
 from repro.runner import detect_on_traffic
 from repro.timing.detector import AutomationDetector
-
-SECONDS_PER_DAY = 86_400.0
-
-CC_NAMES = ("no_hosts", "auto_hosts", "no_ref", "rare_ua", "dom_age",
-            "dom_validity")
-
-
-# ---------------------------------------------------------------------------
-# Random world generation
-# ---------------------------------------------------------------------------
-
-def _random_day_connections(
-    rng: random.Random, day: int, *, with_http: bool
-) -> list[Connection]:
-    """One random day mixing beacon campaigns, co-visit satellites,
-    popular noise and background rarities."""
-    base = day * SECONDS_PER_DAY
-    hosts = [f"h{i:02d}" for i in range(rng.randint(8, 14))]
-    connections: list[Connection] = []
-
-    def emit(host, domain, ts, ip="", no_ref=False):
-        connections.append(Connection(
-            timestamp=base + ts,
-            host=host,
-            domain=domain,
-            resolved_ip=ip,
-            referer=("" if no_ref else "http://ref.example/") if with_http
-            else None,
-            user_agent="agent/1.0" if with_http else None,
-        ))
-
-    # Beaconing campaigns: several hosts, near-identical periods, so
-    # the multi-host C&C heuristic (DNS) / automation test (both) fire.
-    for c in range(rng.randint(0, 2)):
-        domain = f"cc{day}{c}.evil"
-        subnet = rng.randint(1, 6)
-        ip = f"10.{subnet}.{rng.randint(0, 3)}.{rng.randint(1, 254)}"
-        period = rng.choice([30.0, 60.0, 90.0])
-        campaign_hosts = rng.sample(hosts, rng.randint(2, 3))
-        start = rng.uniform(0, 2000.0)
-        for host in campaign_hosts:
-            for i in range(rng.randint(6, 10)):
-                emit(host, domain, start + i * period, ip, no_ref=True)
-        # Satellites: same hosts, first contact near the campaign's,
-        # sometimes sharing its /24 or /16.
-        for s in range(rng.randint(1, 3)):
-            sat = f"sat{day}{c}{s}.evil"
-            proximity = rng.random()
-            if proximity < 0.4:
-                sat_ip = f"10.{subnet}.{rng.randint(0, 3)}.{rng.randint(1, 254)}"
-            elif proximity < 0.6:
-                sat_ip = f"10.{subnet}.{rng.randint(4, 9)}.{rng.randint(1, 254)}"
-            else:
-                sat_ip = f"172.16.{rng.randint(0, 9)}.{rng.randint(1, 254)}"
-            host = rng.choice(campaign_hosts)
-            offset = rng.uniform(-1200.0, 1200.0)
-            for i in range(rng.randint(1, 3)):
-                emit(host, sat, start + offset + i * 700.0, sat_ip)
-
-    # Popular domains (contacted by >= 10 hosts): never rare.
-    for p in range(rng.randint(1, 3)):
-        domain = f"popular{p}.example"
-        for host in hosts:
-            emit(host, domain, rng.uniform(0, 80_000.0), "192.0.2.10")
-
-    # Background rare domains: few hosts, scattered times and subnets.
-    for b in range(rng.randint(6, 14)):
-        domain = f"bg{day}{b}.example"
-        ip = f"198.51.{rng.randint(0, 60)}.{rng.randint(1, 254)}"
-        for host in rng.sample(hosts, rng.randint(1, 3)):
-            for i in range(rng.randint(1, 4)):
-                emit(host, domain, rng.uniform(0, 80_000.0), ip,
-                     no_ref=rng.random() < 0.3)
-
-    rng.shuffle(connections)
-    return connections
-
-
-def _aggregate(
-    day: int,
-    connections: list[Connection],
-    history: DestinationHistory,
-) -> tuple[DailyTraffic, set[str]]:
-    traffic = DailyTraffic(day)
-    traffic.ingest(connections)
-    traffic.finalize()
-    rare = extract_rare_domains(traffic, history, unpopular_max_hosts=10)
-    return traffic, rare
-
-
-def _commit(traffic: DailyTraffic, history: DestinationHistory) -> None:
-    for domain in traffic.hosts_by_domain:
-        history.stage(domain, traffic.day)
-    history.commit_day(traffic.day)
 
 
 def _assert_same_bp(left, right) -> None:
@@ -163,8 +71,8 @@ def test_detect_on_traffic_index_parity_multiday():
         automation = AutomationDetector(LANL_CONFIG.histogram)
         scorer = AdditiveSimilarityScorer()
         for day in range(3):
-            connections = _random_day_connections(rng, day, with_http=False)
-            traffic, rare = _aggregate(day, connections, history)
+            connections = random_day_connections(rng, day, with_http=False)
+            traffic, rare = aggregate(day, connections, history)
             hint_hosts = (
                 sorted(traffic.domains_by_host)[:2]
                 if rng.random() < 0.3 else ()
@@ -187,7 +95,7 @@ def test_detect_on_traffic_index_parity_multiday():
             assert fast.detected == slow.detected
             assert fast.intel_seeded == slow.intel_seeded
             _assert_same_bp(fast.bp_result, slow.bp_result)
-            _commit(traffic, history)
+            commit(traffic, history)
 
 
 @pytest.mark.parity
@@ -197,7 +105,7 @@ def test_belief_propagation_warm_start_parity():
         rng = random.Random(7000 + seed)
         history = DestinationHistory()
         scorer = AdditiveSimilarityScorer()
-        connections = _random_day_connections(rng, 0, with_http=False)
+        connections = random_day_connections(rng, 0, with_http=False)
         # Round 1 on a prefix of the day, round 2 on the full day with
         # round 1's beliefs as the prior -- the streaming cadence.
         split = len(connections) * 2 // 3
@@ -250,52 +158,6 @@ def test_belief_propagation_warm_start_parity():
 # Enterprise / regression path
 # ---------------------------------------------------------------------------
 
-def _linear(names, weights, intercept) -> LinearModel:
-    return LinearModel(
-        feature_names=tuple(names),
-        intercept=intercept,
-        weights=np.asarray(weights, dtype=float),
-        coefficients=(),
-        r_squared=0.0,
-        n_samples=len(weights) + 2,
-    )
-
-
-def _enterprise_scorers(whois_db: WhoisDatabase | None):
-    """A fresh, deterministic pair of trained-model scorers.
-
-    Fresh per detection run: the WHOIS extractor's imputation means
-    mutate during scoring, so parity runs each need identical initial
-    state."""
-    whois = (
-        WhoisFeatureExtractor(whois_db) if whois_db is not None else None
-    )
-    extractor = FeatureExtractor(None, whois)
-    cc_model = _linear(CC_NAMES, [0.5, 0.9, 0.3, 0.1, -0.2, -0.1], 0.02)
-    sim_model = _linear(
-        SIMILARITY_FEATURE_NAMES,
-        [0.25, 0.5, 0.3, 0.1, 0.08, 0.04, -0.15, -0.08],
-        0.03,
-    )
-    cc_scorer = RegressionCCScorer(cc_model, extractor, threshold=0.25)
-    sim_scorer = RegressionSimilarityScorer(sim_model, extractor)
-    return cc_scorer, sim_scorer
-
-
-def _random_whois(rng: random.Random, connections) -> WhoisDatabase:
-    db = WhoisDatabase()
-    domains = sorted({c.domain for c in connections})
-    for domain in domains:
-        if rng.random() < 0.6:  # the rest impute from running means
-            registered = rng.uniform(-2.0, 300.0) * SECONDS_PER_DAY
-            db.register(
-                domain,
-                registered,
-                registered + rng.uniform(30.0, 2000.0) * SECONDS_PER_DAY,
-            )
-    return db
-
-
 @pytest.mark.parity
 def test_detect_on_enterprise_traffic_index_parity():
     """Batched regression scoring equals the legacy path, including the
@@ -305,9 +167,9 @@ def test_detect_on_enterprise_traffic_index_parity():
         rng = random.Random(3000 + seed)
         history = DestinationHistory()
         for day in range(2):
-            connections = _random_day_connections(rng, day, with_http=True)
-            whois_db = _random_whois(rng, connections) if day % 2 else None
-            traffic, rare = _aggregate(day, connections, history)
+            connections = random_day_connections(rng, day, with_http=True)
+            whois_db = random_whois(rng, connections) if day % 2 else None
+            traffic, rare = aggregate(day, connections, history)
             soc = (
                 sorted(rare)[:2] if rare and rng.random() < 0.5 else ()
             )
@@ -317,7 +179,7 @@ def test_detect_on_enterprise_traffic_index_parity():
             )
             runs = {}
             for use_index in (True, False):
-                cc_scorer, sim_scorer = _enterprise_scorers(whois_db)
+                cc_scorer, sim_scorer = enterprise_scorers(whois_db)
                 result = detect_on_enterprise_traffic(
                     traffic, rare,
                     day=day,
@@ -344,7 +206,7 @@ def test_detect_on_enterprise_traffic_index_parity():
             _assert_same_bp(fast.soc_hints, slow.soc_hints)
             assert fast.all_detected_domains() == slow.all_detected_domains()
             assert fast_whois == slow_whois
-            _commit(traffic, history)
+            commit(traffic, history)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +218,7 @@ def test_traffic_index_incremental_matches_rebuild():
     """An index maintained per micro-batch equals one built at the end."""
     for seed in range(6):
         rng = random.Random(500 + seed)
-        connections = _random_day_connections(rng, 0, with_http=False)
+        connections = random_day_connections(rng, 0, with_http=False)
         live = DailyTraffic(0)
         live.index()  # armed before any traffic, like the aggregator
         for start in range(0, len(connections), 17):
@@ -393,9 +255,9 @@ def test_traffic_index_incremental_matches_rebuild():
 def test_bp_views_match_legacy_maps():
     """Index-backed dom_host / host_rdom views equal the eager maps."""
     rng = random.Random(99)
-    connections = _random_day_connections(rng, 0, with_http=False)
+    connections = random_day_connections(rng, 0, with_http=False)
     history = DestinationHistory()
-    traffic, rare = _aggregate(0, connections, history)
+    traffic, rare = aggregate(0, connections, history)
     dom_host, host_rdom = traffic.bp_views(rare)
     legacy_dom_host = {
         d: frozenset(traffic.hosts_by_domain.get(d, ())) for d in rare
@@ -421,8 +283,8 @@ def test_grouped_beacon_heuristic_matches_full_scan():
     for seed in range(6):
         rng = random.Random(42 + seed)
         history = DestinationHistory()
-        connections = _random_day_connections(rng, 0, with_http=False)
-        traffic, rare = _aggregate(0, connections, history)
+        connections = random_day_connections(rng, 0, with_http=False)
+        traffic, rare = aggregate(0, connections, history)
         automation = AutomationDetector(LANL_CONFIG.histogram)
         series = [
             (key, times)
@@ -447,7 +309,7 @@ def test_score_and_score_many_bitwise_equal():
     """The serial and batched linear scorers are bit-identical -- the
     contract the batched frontier scorer's parity rests on."""
     rng = random.Random(17)
-    model = _linear(
+    model = linear_model(
         SIMILARITY_FEATURE_NAMES,
         [rng.uniform(-1, 1) for _ in SIMILARITY_FEATURE_NAMES],
         rng.uniform(-0.5, 0.5),
@@ -463,7 +325,7 @@ def test_score_and_score_many_bitwise_equal():
 
 def test_batched_scorer_rejects_mismatched_model():
     """Feature-name drift between model and batcher fails fast."""
-    model = _linear(("a", "b"), [0.1, 0.2], 0.0)
+    model = linear_model(("a", "b"), [0.1, 0.2], 0.0)
     scorer = RegressionSimilarityScorer(model, FeatureExtractor())
     traffic = DailyTraffic(0)
     try:
@@ -481,8 +343,8 @@ def test_incremental_scorer_matches_additive_componentwise():
     for seed in range(6):
         rng = random.Random(2024 + seed)
         history = DestinationHistory()
-        connections = _random_day_connections(rng, 0, with_http=False)
-        traffic, rare = _aggregate(0, connections, history)
+        connections = random_day_connections(rng, 0, with_http=False)
+        traffic, rare = aggregate(0, connections, history)
         if len(rare) < 4:
             continue
         ordered = sorted(rare)
