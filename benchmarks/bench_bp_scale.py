@@ -1,13 +1,15 @@
-"""Belief-propagation scoring at scale: legacy vs incremental frontier.
+"""Belief-propagation scoring at scale: per-domain vs incremental frontier.
 
-Not a paper figure -- this bench characterizes the PR's scoring hot
-path.  Algorithm 1's inner loop rescored every frontier domain against
+Not a paper figure -- this bench characterizes the scoring hot path.
+The per-domain reference scorers rescore every frontier domain against
 the *entire* malicious set each iteration
-(O(iterations x frontier x malicious) pure-Python loops); the
+(O(iterations x frontier x malicious) pure-Python loops; the "legacy"
+arm, wrapped as a frontier hook by
+:func:`repro.testing.per_domain_frontier`); the
 :class:`~repro.profiling.index.TrafficIndex`-backed incremental
-scorers fold in only the newly labeled delta per iteration.  The two
-paths must agree byte-for-byte on detections, so each measured pair is
-also a parity assertion.
+scorers that production runs fold in only the newly labeled delta per
+iteration.  The two arms must agree byte-for-byte on detections, so
+each measured pair is also a parity assertion.
 
 The synthetic world is a labeling *chain*: a seed C&C domain, ``M``
 chain domains each pulled in one belief-propagation iteration via a
@@ -44,7 +46,8 @@ from repro.eval import render_table
 from repro.features.extract import SIMILARITY_FEATURE_NAMES, FeatureExtractor
 from repro.features.regression import LinearModel
 from repro.logs.records import Connection
-from repro.profiling.rare import DailyTraffic, rare_domains_by_host
+from repro.profiling.rare import DailyTraffic
+from repro.testing import per_domain_frontier
 
 SMOKE = bool(os.environ.get("BP_SCALE_SMOKE"))
 
@@ -107,14 +110,17 @@ def _sim_model() -> LinearModel:
     )
 
 
-def _run(seed_hosts, seed_domains, config, scoring_kwargs):
+def _run(seed_hosts, seed_domains, config, dom_host, host_rdom,
+         score_frontier):
     start = time.perf_counter()
     result = belief_propagation(
         seed_hosts,
         seed_domains,
+        dom_host=dom_host,
+        host_rdom=host_rdom,
         detect_cc=lambda dom: False,
+        score_frontier=score_frontier,
         config=config,
-        **scoring_kwargs,
     )
     elapsed = time.perf_counter() - start
     return elapsed, result
@@ -124,7 +130,7 @@ def test_bp_scale():
     configs = CONFIGS[:1] if SMOKE else CONFIGS
     rows = []
     results = []
-    all_parity = True
+    all_match = True
     for name, frontier, chain in configs:
         traffic, rare, seed_hosts, seed_domains = build_chain_world(
             frontier, chain
@@ -132,10 +138,6 @@ def test_bp_scale():
         bp_config = BeliefPropagationConfig(
             similarity_threshold=0.25, max_iterations=chain + 2
         )
-        legacy_dom_host = {
-            d: frozenset(traffic.hosts_by_domain.get(d, ())) for d in rare
-        }
-        legacy_host_rdom = rare_domains_by_host(traffic, rare)
         index = traffic.index()
         dom_host, host_rdom = traffic.bp_views(rare)
 
@@ -145,35 +147,26 @@ def test_bp_scale():
         )
         for family in ("additive", "regression"):
             if family == "additive":
-                legacy_scoring = {
-                    "similarity_score":
-                        lambda d, mal: additive.score(d, mal, traffic),
-                }
-                fast_scoring = {
-                    "score_frontier": IncrementalAdditiveScorer(
-                        additive, traffic, index=index
-                    ).score_frontier,
-                }
+                legacy_scoring = per_domain_frontier(
+                    lambda d, mal: additive.score(d, mal, traffic)
+                )
+                fast_scoring = IncrementalAdditiveScorer(
+                    additive, traffic, index=index
+                ).score_frontier
             else:
-                legacy_scoring = {
-                    "similarity_score":
-                        lambda d, mal: regression.score(
-                            d, mal, traffic, WHEN
-                        ),
-                }
-                fast_scoring = {
-                    "score_frontier": BatchedSimilarityScorer(
-                        regression, traffic, WHEN, index=index
-                    ).score_frontier,
-                }
+                legacy_scoring = per_domain_frontier(
+                    lambda d, mal: regression.score(d, mal, traffic, WHEN)
+                )
+                fast_scoring = BatchedSimilarityScorer(
+                    regression, traffic, WHEN, index=index
+                ).score_frontier
             legacy_s, legacy_result = _run(
                 seed_hosts, seed_domains, bp_config,
-                dict(dom_host=legacy_dom_host, host_rdom=legacy_host_rdom,
-                     **legacy_scoring),
+                dom_host, host_rdom, legacy_scoring,
             )
             fast_s, fast_result = _run(
                 seed_hosts, seed_domains, bp_config,
-                dict(dom_host=dom_host, host_rdom=host_rdom, **fast_scoring),
+                dom_host, host_rdom, fast_scoring,
             )
             parity = (
                 legacy_result.detections == fast_result.detections
@@ -181,7 +174,7 @@ def test_bp_scale():
                 and legacy_result.hosts == fast_result.hosts
                 and legacy_result.domains == fast_result.domains
             )
-            all_parity = all_parity and parity
+            all_match = all_match and parity
             assert parity, f"{name}/{family}: detections diverged"
             assert len(fast_result.domains) == chain + 1, (
                 f"{name}/{family}: chain did not fully label "
@@ -222,7 +215,7 @@ def test_bp_scale():
     payload = {
         "bench": "bp_scale",
         "smoke": SMOKE,
-        "detect_parity": all_parity,
+        "detect_parity": all_match,
         "rows": results,
     }
     OUT_DIR.mkdir(exist_ok=True)

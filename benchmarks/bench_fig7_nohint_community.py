@@ -10,7 +10,6 @@ community containing additional (non-C&C) campaign domains.
 import networkx as nx
 from conftest import save_output
 
-from repro.core.pipeline import _automated_hosts_by_domain  # noqa: F401
 from repro.eval.enterprise_eval import EnterpriseEvaluation
 
 
@@ -23,24 +22,7 @@ def find_community(evaluation: EnterpriseEvaluation):
         seed_hosts = set()
         for domain in cc_set:
             seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
-        from repro.core.beliefprop import belief_propagation
-        from repro.profiling.rare import rare_domains_by_host
-
-        result = belief_propagation(
-            seed_hosts,
-            cc_set,
-            dom_host=op_day.dom_host(),
-            host_rdom=rare_domains_by_host(op_day.traffic, op_day.rare),
-            detect_cc=lambda dom: dom in cc_set,
-            similarity_score=lambda dom, mal: (
-                evaluation.detector.similarity_scorer.score(
-                    dom, mal, op_day.traffic, op_day.when
-                )
-            ),
-            config=evaluation.config.belief_propagation.__class__(
-                similarity_threshold=0.33
-            ),
-        )
+        result = evaluation.run_bp(op_day, seed_hosts, cc_set, cc_set, 0.33)
         if result.detected_domains:
             return op_day.day, result
     return None, None

@@ -160,7 +160,7 @@ def test_streaming_throughput():
         # independent best-of-N minima cannot.
         stream_elapsed = on_elapsed = float("inf")
         latencies = streamed = report = detector = None
-        metrics_parity = True
+        metrics_match = True
         ratios = []
         for attempt in range(TIMING_RUNS):
             elapsed, lat, n_streamed, rep, det = _stream_day(
@@ -181,11 +181,11 @@ def test_streaming_throughput():
                 on_elapsed = elapsed_on
                 stage_seconds = registry.snapshot().timings()
             ratios.append(elapsed_on / elapsed)
-            run_parity = list(on_report.detected) == list(
+            run_match = list(on_report.detected) == list(
                 (rep if attempt else report).detected
             )
-            metrics_parity = metrics_parity and run_parity
-            assert run_parity, (on_report.detected, report.detected)
+            metrics_match = metrics_match and run_match
+            assert run_match, (on_report.detected, report.detected)
 
         assert streamed == n_events
         verdict_stats = detector.verdict_stats.as_dict()
@@ -231,7 +231,7 @@ def test_streaming_throughput():
             # The observability plane, priced: same day with a live
             # registry, identical detections required.
             "metrics_overhead_pct": overhead_pct,
-            "metrics_parity": metrics_parity,
+            "metrics_parity": metrics_match,
             "stage_seconds": stage_seconds,
             # Period-aware verdict cache: how many series re-tests the
             # streaming engine avoided (short series, on-period beacons)

@@ -13,14 +13,13 @@ Run:  python examples/netflow_pipeline.py
 """
 
 from repro.core.beliefprop import belief_propagation
-from repro.core.scoring import AdditiveSimilarityScorer, multi_host_beacon_heuristic
-from repro.logs import PassiveDnsMap, normalize_netflow_records
-from repro.profiling import (
-    DailyTraffic,
-    DestinationHistory,
-    extract_rare_domains,
-    rare_domains_by_host,
+from repro.core.scoring import (
+    AdditiveSimilarityScorer,
+    IncrementalAdditiveScorer,
+    multi_host_beacon_heuristic,
 )
+from repro.logs import PassiveDnsMap, normalize_netflow_records
+from repro.profiling import DailyTraffic, DestinationHistory, extract_rare_domains
 from repro.synthetic import LanlConfig, generate_lanl_dataset
 from repro.timing import AutomationDetector
 
@@ -56,26 +55,23 @@ def main() -> None:
     print(f"rare destinations: {len(rare)}")
 
     detector = AutomationDetector()
-    verdicts = detector.automated_pairs(
-        (key, times)
-        for key, times in sorted(traffic.timestamps.items())
-        if key[1] in rare
-    )
+    verdicts = detector.automated_pairs(traffic.rare_series(rare))
     cc = {
         domain for domain in {v.domain for v in verdicts}
         if multi_host_beacon_heuristic(domain, verdicts, traffic)
     }
     print(f"C&C candidates from flow timing: {sorted(cc)}")
 
-    scorer = AdditiveSimilarityScorer()
     seed_hosts = set(truth.hint_hosts)
+    dom_host, host_rdom = traffic.bp_views(rare)
+    scorer = IncrementalAdditiveScorer(AdditiveSimilarityScorer(), traffic)
     result = belief_propagation(
         seed_hosts,
         set(),
-        dom_host={d: set(traffic.hosts_by_domain.get(d, ())) for d in rare},
-        host_rdom=rare_domains_by_host(traffic, rare),
+        dom_host=dom_host,
+        host_rdom=host_rdom,
         detect_cc=lambda dom: dom in cc,
-        similarity_score=lambda dom, mal: scorer.score(dom, mal, traffic),
+        score_frontier=scorer.score_frontier,
     )
 
     print("\ndetections from NetFlow (vs ground truth):")

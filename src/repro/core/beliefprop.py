@@ -34,9 +34,6 @@ from .graph import InfectionGraph, Label
 DetectCC = Callable[[str], bool]
 """Predicate: does this rare domain exhibit scoring C&C behaviour?"""
 
-SimilarityScore = Callable[[str, set[str]], float]
-"""Score of a rare domain against the current malicious set."""
-
 ScoreFrontier = Callable[[Sequence[str], Set[str]], Mapping[str, float]]
 """Batch hook: scores for a whole frontier at once.
 
@@ -108,8 +105,7 @@ def belief_propagation(
     dom_host: Mapping[str, Set[str]],
     host_rdom: Mapping[str, Set[str]],
     detect_cc: DetectCC,
-    similarity_score: SimilarityScore | None = None,
-    score_frontier: ScoreFrontier | None = None,
+    score_frontier: ScoreFrontier,
     config: BeliefPropagationConfig | None = None,
     prior: "BeliefPropagationResult | None" = None,
     sibling_dom: Mapping[str, Set[str]] | None = None,
@@ -121,15 +117,11 @@ def belief_propagation(
     ``host_rdom`` maps a host to the rare domains it visited -- the two
     precomputed maps named in the paper's pseudocode.
 
-    Similarity scoring accepts either form: ``score_frontier`` scores
-    the whole frontier in one call and is handed only the
-    newly-labeled delta (the fast path -- see :data:`ScoreFrontier`),
-    while a per-domain ``similarity_score`` callable is wrapped in a
-    compatibility adapter that rescores every frontier domain against
-    the full malicious set.  Exactly one must be provided; both paths use the
-    same deterministic argmax tie-breaking, so a ``score_frontier``
-    implementation matching the per-domain scores yields byte-identical
-    detections.
+    ``score_frontier`` is ``Compute_SimScore``: it scores the whole
+    frontier in one call and is handed only the newly labeled delta of
+    the malicious set (see :data:`ScoreFrontier`).  Argmax ties break
+    deterministically on the domain name, so any hook returning the
+    same scores yields byte-identical detections.
 
     ``prior`` warm-starts the run from an earlier round's result: its
     hosts and domains enter ``H`` and ``M`` as already-labeled beliefs
@@ -155,10 +147,6 @@ def belief_propagation(
     frontier sizes and ``score_frontier`` batch timings.  Detection
     output is byte-identical with or without it.
     """
-    if (similarity_score is None) == (score_frontier is None):
-        raise TypeError(
-            "provide exactly one of similarity_score / score_frontier"
-        )
     config = config or BeliefPropagationConfig()
     hosts: set[str] = set(seed_hosts)
     malicious: set[str] = set(seed_domains)
@@ -205,18 +193,6 @@ def belief_propagation(
         for domain in malicious:
             rare.update(sibling_dom.get(domain, ()))
 
-    if score_frontier is None:
-        # Compatibility adapter: per-domain scoring against the full
-        # malicious set, in the same sorted order as always.  The
-        # closure reads the live ``malicious`` local at call time.
-        def score_frontier(
-            frontier: "Sequence[str]", new_malicious: Set[str]
-        ) -> Mapping[str, float]:
-            return {
-                domain: similarity_score(domain, malicious)
-                for domain in frontier
-            }
-
     #: malicious domains already handed to the batch hook as deltas.
     reported: set[str] = set()
 
@@ -250,8 +226,7 @@ def belief_propagation(
                     batch = score_frontier(ordered, delta)
                 reported |= delta
                 # Canonical dict in sorted-frontier order: argmax and
-                # threshold logic below see the same structure whether
-                # the hook or the per-domain adapter produced it.
+                # threshold logic below never see the hook's own order.
                 scores = {domain: batch[domain] for domain in ordered}
             if scores:
                 # max() on sorted items makes argmax ties deterministic.

@@ -43,11 +43,7 @@ from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase
 from ..logs.records import Connection
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import (
-    DailyTraffic,
-    extract_rare_domains,
-    rare_domains_by_host,
-)
+from ..profiling.rare import DailyTraffic, extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .beliefprop import BeliefPropagationResult, belief_propagation
@@ -57,14 +53,6 @@ from .scoring import (
     RegressionSimilarityScorer,
     ScoredDomain,
 )
-
-#: Parity-only path: ``detect_on_enterprise_traffic(...,
-#: use_index=False)`` keeps the legacy per-domain feature extraction
-#: and similarity scoring purely as the reference the indexed/batched
-#: path is pinned against (``pytest -m parity``).  Production always
-#: runs ``use_index=True``; the legacy branch is kept green only for
-#: those tests and is slated for retirement (ROADMAP).
-_parity = "detect_on_enterprise_traffic(use_index=False)"
 
 DailyBatch = tuple[int, Sequence[Connection]]
 
@@ -346,7 +334,6 @@ def detect_on_enterprise_traffic(
     soc_seed_domains: Iterable[str] = (),
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
-    use_index: bool = True,
     metrics=None,
 ) -> DayResult:
     """The enterprise-path daily detection stages on one day of traffic.
@@ -375,13 +362,10 @@ def detect_on_enterprise_traffic(
     frontier extension.  ``None`` (the default) is byte-identical to a
     build without the parameter.
 
-    ``use_index`` routes each belief-propagation run through the day's
-    :class:`~repro.profiling.index.TrafficIndex` and a fresh
+    Each belief-propagation run scores through the day's
+    :class:`~repro.profiling.index.TrafficIndex` with a fresh
     :class:`~repro.core.scoring.BatchedSimilarityScorer` (one per run:
-    its incremental state tracks that run's growing malicious set);
-    ``False`` keeps the legacy per-domain feature extraction.  Both
-    produce identical detections -- the parity the randomized tests
-    assert -- including identical WHOIS imputation state evolution.
+    its incremental state tracks that run's growing malicious set).
     """
     from ..obs.metrics import NULL_METRICS
 
@@ -413,36 +397,10 @@ def detect_on_enterprise_traffic(
         ct_seeded = expand_ct_seeds(cc_set | intel_seeded, rare, ct_edges)
         sibling_dom = sibling_map(ct_edges, rare)
 
-    if use_index:
-        index = traffic.index()
-        dom_host, host_rdom = traffic.bp_views(rare)
-    else:
-        index = None
-        host_rdom = rare_domains_by_host(traffic, rare)
-        dom_host = {
-            domain: frozenset(traffic.hosts_by_domain.get(domain, ()))
-            for domain in rare
-        }
+    dom_host, host_rdom = traffic.bp_views(rare)
 
     def detect_cc(domain: str) -> bool:
         return domain in cc_set
-
-    def scoring_kwargs() -> dict:
-        """Similarity scoring for one BP run: a fresh batched scorer
-        per run (its state follows that run's malicious set), or the
-        legacy per-domain callable."""
-        if index is None:
-            return {
-                "similarity_score":
-                    lambda domain, malicious:
-                        similarity_scorer.score(
-                            domain, malicious, traffic, when
-                        ),
-            }
-        batched = BatchedSimilarityScorer(
-            similarity_scorer, traffic, when, index=index
-        )
-        return {"score_frontier": batched.score_frontier}
 
     result = DayResult(
         day=day,
@@ -465,10 +423,12 @@ def detect_on_enterprise_traffic(
                 dom_host=dom_host,
                 host_rdom=host_rdom,
                 detect_cc=detect_cc,
+                score_frontier=BatchedSimilarityScorer(
+                    similarity_scorer, traffic, when
+                ).score_frontier,
                 config=config.belief_propagation,
                 sibling_dom=sibling_dom,
                 metrics=metrics,
-                **scoring_kwargs(),
             )
 
         soc_seeds = {
@@ -484,10 +444,12 @@ def detect_on_enterprise_traffic(
                 dom_host=dom_host,
                 host_rdom=host_rdom,
                 detect_cc=detect_cc,
+                score_frontier=BatchedSimilarityScorer(
+                    similarity_scorer, traffic, when
+                ).score_frontier,
                 config=config.belief_propagation,
                 sibling_dom=sibling_dom,
                 metrics=metrics,
-                **scoring_kwargs(),
             )
     if no_hint_seeds or soc_seeds:
         stage_seconds["bp"] = bp_span.elapsed

@@ -20,14 +20,15 @@ both -- the paper's new discoveries), or legitimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..config import ENTERPRISE_CONFIG, SystemConfig
-from ..core.beliefprop import belief_propagation
+from ..core.beliefprop import BeliefPropagationResult, belief_propagation
 from ..core.pipeline import EnterpriseDetector, _automated_hosts_by_domain
+from ..core.scoring import BatchedSimilarityScorer
 from ..intel.ioc import IocList
 from ..intel.virustotal import VirusTotalOracle
-from ..profiling.rare import DailyTraffic, rare_domains_by_host
+from ..profiling.rare import DailyTraffic
 from ..synthetic.enterprise import EnterpriseDataset
 from .metrics import ValidationBreakdown, validate_detections
 
@@ -44,12 +45,6 @@ class OperationalDay:
     auto_hosts: dict[str, set[str]]
     cc_scores: dict[str, float]
     when: float
-
-    def dom_host(self) -> dict[str, frozenset[str]]:
-        return {
-            domain: frozenset(self.traffic.hosts_by_domain.get(domain, ()))
-            for domain in self.rare
-        }
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,13 @@ class EnterpriseEvaluation:
             when = (day + 1) * SECONDS_PER_DAY
             verdicts = self.detector._automation_verdicts(traffic, rare)
             auto_hosts = _automated_hosts_by_domain(verdicts)
-            cc_scores = {
-                domain: self.detector.cc_scorer.score(
-                    domain, traffic, auto_hosts[domain], when
-                )
-                for domain in sorted(auto_hosts)
-            }
+            candidates = sorted(auto_hosts)
+            cc_scores = dict(zip(
+                candidates,
+                self.detector.cc_scorer.score_all(
+                    candidates, traffic, auto_hosts, when
+                ),
+            ))
             self.days.append(
                 OperationalDay(
                     day=day,
@@ -146,37 +142,32 @@ class EnterpriseEvaluation:
             )
         return detected
 
-    def _run_bp(
+    def run_bp(
         self,
         op_day: OperationalDay,
         seed_hosts: set[str],
         seed_domains: set[str],
         cc_set: set[str],
         ts: float,
-    ) -> set[str]:
-        scorer = self.detector.similarity_scorer
-        config = self.config.belief_propagation.__class__(
-            similarity_threshold=ts,
-            cc_score_threshold=self.config.belief_propagation.cc_score_threshold,
-            max_iterations=self.config.belief_propagation.max_iterations,
-        )
-
-        def detect_cc(domain: str) -> bool:
-            return domain in cc_set
-
-        def similarity(domain: str, malicious: set[str]) -> float:
-            return scorer.score(domain, malicious, op_day.traffic, op_day.when)
-
-        result = belief_propagation(
+    ) -> BeliefPropagationResult:
+        """Belief propagation on one cached day at similarity threshold
+        ``ts``, scored the way the daily routine scores: the day's
+        :meth:`~repro.profiling.DailyTraffic.bp_views` and one fresh
+        :class:`~repro.core.scoring.BatchedSimilarityScorer`."""
+        dom_host, host_rdom = op_day.traffic.bp_views(op_day.rare)
+        return belief_propagation(
             seed_hosts,
             seed_domains,
-            dom_host=op_day.dom_host(),
-            host_rdom=rare_domains_by_host(op_day.traffic, op_day.rare),
-            detect_cc=detect_cc,
-            similarity_score=similarity,
-            config=config,
+            dom_host=dom_host,
+            host_rdom=host_rdom,
+            detect_cc=lambda domain: domain in cc_set,
+            score_frontier=BatchedSimilarityScorer(
+                self.detector.similarity_scorer, op_day.traffic, op_day.when
+            ).score_frontier,
+            config=replace(
+                self.config.belief_propagation, similarity_threshold=ts
+            ),
         )
-        return set(result.detected_domains)
 
     def no_hint_detections(self, ts: float, tc: float = 0.4) -> set[str]:
         """No-hint mode over the month: C&C seeds + BP expansion."""
@@ -194,7 +185,9 @@ class EnterpriseEvaluation:
                 seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
             detected.update(cc_set)
             detected.update(
-                self._run_bp(op_day, seed_hosts, set(cc_set), cc_set, ts)
+                self.run_bp(
+                    op_day, seed_hosts, set(cc_set), cc_set, ts
+                ).detected_domains
             )
         return detected
 
@@ -218,7 +211,9 @@ class EnterpriseEvaluation:
             for domain in present:
                 seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
             detected.update(
-                self._run_bp(op_day, seed_hosts, present, cc_set, ts)
+                self.run_bp(
+                    op_day, seed_hosts, present, cc_set, ts
+                ).detected_domains
             )
         return detected - seeds
 

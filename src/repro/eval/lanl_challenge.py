@@ -24,10 +24,15 @@ from dataclasses import dataclass, field
 
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.beliefprop import BeliefPropagationResult, belief_propagation
-from ..core.scoring import AdditiveSimilarityScorer, multi_host_beacon_heuristic
+from ..core.scoring import (
+    AdditiveSimilarityScorer,
+    IncrementalAdditiveScorer,
+    group_verdicts_by_domain,
+    multi_host_beacon_heuristic,
+)
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import DailyTraffic, extract_rare_domains, rare_domains_by_host
+from ..profiling.rare import DailyTraffic, extract_rare_domains
 from ..synthetic.lanl import LanlCampaignTruth, LanlDataset
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .metrics import DetectionCounts, ZERO_COUNTS, score_detections
@@ -158,10 +163,15 @@ class LanlChallengeSolver:
     ) -> tuple[set[str], list[AutomationVerdict]]:
         """LANL C&C heuristic over the day's rare automated domains."""
         verdicts = self.automation.automated_pairs(context.rare_series())
-        cc: set[str] = set()
-        for domain in {v.domain for v in verdicts}:
-            if multi_host_beacon_heuristic(domain, verdicts, context.traffic):
-                cc.add(domain)
+        cc = {
+            domain
+            for domain, domain_verdicts in group_verdicts_by_domain(
+                verdicts
+            ).items()
+            if multi_host_beacon_heuristic(
+                domain, domain_verdicts, context.traffic
+            )
+        }
         return cc, verdicts
 
     def run_belief_propagation(
@@ -171,26 +181,17 @@ class LanlChallengeSolver:
         seed_domains: set[str],
         cc_set: set[str],
     ) -> BeliefPropagationResult:
-        """Run BP for one day's context; returns the result or None."""
-        host_rdom = rare_domains_by_host(context.traffic, context.rare)
-        dom_host = {
-            domain: frozenset(context.traffic.hosts_by_domain.get(domain, ()))
-            for domain in context.rare
-        }
-
-        def detect_cc(domain: str) -> bool:
-            return domain in cc_set
-
-        def similarity(domain: str, malicious: set[str]) -> float:
-            return self.scorer.score(domain, malicious, context.traffic)
-
+        """Run BP for one day's context, scored the way ``run`` does."""
+        dom_host, host_rdom = context.traffic.bp_views(context.rare)
         return belief_propagation(
             seed_hosts,
             seed_domains,
             dom_host=dom_host,
             host_rdom=host_rdom,
-            detect_cc=detect_cc,
-            similarity_score=similarity,
+            detect_cc=lambda domain: domain in cc_set,
+            score_frontier=IncrementalAdditiveScorer(
+                self.scorer, context.traffic
+            ).score_frontier,
             config=self.config.belief_propagation,
         )
 

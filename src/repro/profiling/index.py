@@ -29,11 +29,10 @@ snapshot derived state (the incremental scorers) can detect staleness.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from typing import TYPE_CHECKING
 
 from ..logs.domains import subnet_key
-from ..logs.records import Connection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rare import DailyTraffic, IngestDigest
@@ -83,7 +82,7 @@ class TrafficIndex:
     def _build(self) -> None:
         """Index the traffic's current content (one full scan)."""
         traffic = self.traffic
-        for (host, domain), times in traffic.timestamps.items():
+        for (host, domain), times in traffic.series():
             if not times:
                 continue
             self._record(host, domain, min(times))
@@ -92,24 +91,10 @@ class TrafficIndex:
                 self._record_ip(domain, ip)
         self.version += 1
 
-    def observe(self, connections: Iterable[Connection]) -> None:
-        """Fold new connections in (per-event parity path).
-
-        :meth:`observe_digest` is the batched equivalent the columnar
-        ingest uses; this loop remains for callers holding raw
-        connections and for the parity tests pinning the two paths
-        together.
-        """
-        for conn in connections:
-            self._record(conn.host, conn.domain, conn.timestamp)
-            if conn.resolved_ip:
-                self._record_ip(conn.domain, conn.resolved_ip)
-        self.version += 1
-
     def observe_digest(self, digest: "IngestDigest") -> None:
         """Fold one columnar ingest batch in, without re-looping events.
 
-        Bit-identical to :meth:`observe` on the batch's connections:
+        Bit-identical to recording the batch's connections one by one:
         each touched pair's earliest batch timestamp (``chunk[0]`` --
         chunks are sorted) is all ``_record`` can ever keep from the
         batch, pairs arrive in first-appearance order so new rows land

@@ -19,17 +19,16 @@ lexsorts the new span by (pair, time) *once*, and merges the per-pair
 runs into sorted per-pair series; the same grouped pass produces an
 :class:`IngestDigest` that the streaming window, engine and
 :class:`~repro.profiling.index.TrafficIndex` consume instead of
-re-looping over the batch event by event.  The public ``timestamps``
-mapping is a zero-copy view over the per-pair series and remains
-interchangeable with the legacy ``dict[(host, domain), list[float]]``
-(same keys, same sorted values, same equality semantics), so every
-consumer and checkpoint round-trip stays byte-identical.
+re-looping over the batch event by event.  :meth:`DailyTraffic.series`
+lists the per-pair series in first-appearance order;
+:meth:`~DailyTraffic.rare_series` and
+:meth:`~DailyTraffic.connection_times` read the same store.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,94 +76,6 @@ class IngestDigest:
     novel_ips: list[tuple[str, str]] = field(default_factory=list)
 
 
-class TimestampSeriesView(Mapping):
-    """Dict-compatible view of the per-(host, domain) timestamp series.
-
-    Presents the columnar series store under the legacy
-    ``dict[(host, domain), list[float]]`` contract: same keys, sorted
-    Python-float lists as values, iteration in pair first-appearance
-    order, and dict-style equality (against another view or a plain
-    dict).  Reads finalize the traffic first, so values are always the
-    sorted views of everything ingested so far.
-    """
-
-    __slots__ = ("_traffic",)
-
-    def __init__(self, traffic: "DailyTraffic") -> None:
-        self._traffic = traffic
-
-    def _lookup(self, key) -> list[float] | None:
-        traffic = self._traffic
-        try:
-            host, domain = key
-        except (TypeError, ValueError):
-            return None
-        h_id = traffic._host_ids.get(host)
-        d_id = traffic._domain_ids.get(domain)
-        if h_id is None or d_id is None:
-            return None
-        return traffic._series.get((h_id << _PAIR_SHIFT) | d_id)
-
-    def __getitem__(self, key) -> list[float]:
-        self._traffic.finalize()
-        series = self._lookup(key)
-        if series is None:
-            raise KeyError(key)
-        return series
-
-    def get(self, key, default=None):
-        """``dict.get`` semantics over the series store."""
-        self._traffic.finalize()
-        series = self._lookup(key)
-        return default if series is None else series
-
-    def __contains__(self, key) -> bool:
-        self._traffic.finalize()
-        return self._lookup(key) is not None
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        traffic = self._traffic
-        traffic.finalize()
-        hosts = traffic._host_names
-        domains = traffic._domain_names
-        for pair in traffic._series:
-            yield (hosts[pair >> _PAIR_SHIFT], domains[pair & _DOMAIN_MASK])
-
-    def __len__(self) -> int:
-        self._traffic.finalize()
-        return len(self._traffic._series)
-
-    def items(self):
-        """``dict.items`` view, materialized in insertion order."""
-        traffic = self._traffic
-        traffic.finalize()
-        hosts = traffic._host_names
-        domains = traffic._domain_names
-        return [
-            ((hosts[pair >> _PAIR_SHIFT], domains[pair & _DOMAIN_MASK]), times)
-            for pair, times in traffic._series.items()
-        ]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Mapping, dict)):
-            if len(self) != len(other):
-                return False
-            for key, times in self.items():
-                try:
-                    if other[key] != times:
-                        return False
-                except KeyError:
-                    return False
-            return True
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable mapping semantics, like dict
-
-
 class DailyTraffic:
     """One day of aggregated connection state (columnar event store).
 
@@ -172,9 +83,6 @@ class DailyTraffic:
 
     ``hosts_by_domain``
         domain -> set of hosts contacting it (``dom_host`` in Alg. 1).
-    ``timestamps``
-        (host, domain) -> sorted list of connection times (a
-        :class:`TimestampSeriesView` over the columnar series store).
     ``no_referer_hosts`` / ``rare_ua_hosts``
         domain -> hosts that contacted it with no referer / with a rare
         or missing UA (inputs to the NoRef and RareUA features).
@@ -210,7 +118,6 @@ class DailyTraffic:
         #: a DailyTraffic lives exactly one day), so each distinct UA
         #: needs one predicate call, not one per event.
         self._ua_rare_memo: dict[str, bool] = {}
-        self.timestamps = TimestampSeriesView(self)
         self._index: TrafficIndex | None = None
 
     # ------------------------------------------------------------------
@@ -352,19 +259,15 @@ class DailyTraffic:
     ) -> IngestDigest:
         """Merge the unfinalized event span into the sorted series.
 
-        One lexsort of the span by (pair, time) yields every pair's new
-        timestamps as a contiguous sorted run; runs merge into the
-        per-pair series and simultaneously become the
-        :class:`IngestDigest` chunks.  Pairs are processed in
-        first-appearance order so new-pair set insertions land in the
-        same order per-event processing would produce.
-
-        Streaming-sized spans (micro-batch polls) skip the lexsort: a
-        plain dict-of-lists grouping gives the same first-appearance
-        order (dict insertion order) and the same sorted chunks
-        (per-group timsort), without the fixed per-call cost of the
-        array machinery.  Both paths produce identical digests; the
-        array path wins only at batch-pipeline span sizes.
+        The span is grouped into per-pair sorted timestamp runs in
+        first-appearance order, then :meth:`_merge_runs` folds the runs
+        into the series and the :class:`IngestDigest`.  Batch-pipeline
+        spans group with one lexsort by (pair, time); streaming-sized
+        spans (micro-batch polls, at most ``_SMALL_SPAN`` events) group
+        with a plain dict of lists instead -- dict insertion order is
+        first appearance and a per-group timsort sorts each run --
+        because the array machinery's fixed per-call cost only
+        amortizes at batch sizes.  Both groupings yield the same runs.
         """
         lo, hi = self._n_finalized, self._n_events
         if lo == hi:
@@ -372,7 +275,18 @@ class DailyTraffic:
                 n_events=0, novel_ips=novel_ips if novel_ips else []
             )
         if hi - lo <= _SMALL_SPAN:
-            return self._finalize_small(lo, hi, novel_ips)
+            groups: dict[int, list[float]] = {}
+            for pair, value in zip(
+                self._ev_pair[lo:hi].tolist(), self._ev_time[lo:hi].tolist()
+            ):
+                chunk = groups.get(pair)
+                if chunk is None:
+                    groups[pair] = [value]
+                else:
+                    chunk.append(value)
+            for values in groups.values():
+                values.sort()
+            return self._merge_runs(groups.items(), lo, hi, novel_ips)
         span_pair = self._ev_pair[lo:hi]
         span_time = self._ev_time[lo:hi]
         order = np.lexsort((span_time, span_pair))
@@ -391,6 +305,26 @@ class DailyTraffic:
         group_pairs = grouped_pair[starts].tolist()
         starts_list = starts.tolist()
         ends_list = ends.tolist()
+        runs = (
+            (group_pairs[g], time_list[starts_list[g]:ends_list[g]])
+            for g in appearance.tolist()
+        )
+        return self._merge_runs(runs, lo, hi, novel_ips)
+
+    def _merge_runs(
+        self,
+        runs: Iterable[tuple[int, list[float]]],
+        lo: int,
+        hi: int,
+        novel_ips: list[tuple[str, str]] | None,
+    ) -> IngestDigest:
+        """Fold per-pair sorted runs (first-appearance order) into the
+        series store and build the span's :class:`IngestDigest`.
+
+        Pairs are processed in first-appearance order so new-pair set
+        insertions land in the same order per-event processing would
+        produce.
+        """
         series = self._series
         pair_names = self._pair_names
         hosts_by_domain = self.hosts_by_domain
@@ -402,72 +336,12 @@ class DailyTraffic:
         chunks_out: list[list[float]] = []
         domains_out: list[str] = []
         domains_seen: set[str] = set()
-        for group in appearance.tolist():
-            pair = group_pairs[group]
-            values = time_list[starts_list[group]:ends_list[group]]
+        for pair, values in runs:
             existing = series.get(pair)
             if existing is None:
                 # First time this day sees the pair: register the edge
                 # and its name tuple; only here can a domain's host
                 # count -- hence its rarity -- change.
-                series[pair] = values
-                host = host_names[pair >> _PAIR_SHIFT]
-                domain = domain_names[pair & _DOMAIN_MASK]
-                named = (host, domain)
-                pair_names[pair] = named
-                hosts_by_domain[domain].add(host)
-                domains_by_host[host].add(domain)
-                if domain not in domains_seen:
-                    domains_seen.add(domain)
-                    domains_out.append(domain)
-            else:
-                if existing[-1] <= values[0]:
-                    existing += values
-                else:
-                    existing += values
-                    existing.sort()
-                named = pair_names[pair]
-            pairs_out.append(pair)
-            named_out.append(named)
-            chunks_out.append(values)
-        self._n_finalized = hi
-        return IngestDigest(
-            n_events=hi - lo,
-            pairs=pairs_out,
-            named_pairs=named_out,
-            chunks=chunks_out,
-            domains=domains_out,
-            novel_ips=novel_ips if novel_ips else [],
-        )
-
-    def _finalize_small(
-        self, lo: int, hi: int, novel_ips: list[tuple[str, str]] | None
-    ) -> IngestDigest:
-        """Dict-of-lists twin of the array grouping for small spans."""
-        groups: dict[int, list[float]] = {}
-        for pair, value in zip(
-            self._ev_pair[lo:hi].tolist(), self._ev_time[lo:hi].tolist()
-        ):
-            chunk = groups.get(pair)
-            if chunk is None:
-                groups[pair] = [value]
-            else:
-                chunk.append(value)
-        series = self._series
-        pair_names = self._pair_names
-        hosts_by_domain = self.hosts_by_domain
-        domains_by_host = self.domains_by_host
-        host_names = self._host_names
-        domain_names = self._domain_names
-        pairs_out: list[int] = []
-        named_out: list[tuple[str, str]] = []
-        chunks_out: list[list[float]] = []
-        domains_out: list[str] = []
-        domains_seen: set[str] = set()
-        for pair, values in groups.items():
-            values.sort()
-            existing = series.get(pair)
-            if existing is None:
                 series[pair] = values
                 host = host_names[pair >> _PAIR_SHIFT]
                 domain = domain_names[pair & _DOMAIN_MASK]
@@ -540,10 +414,23 @@ class DailyTraffic:
     def domain_popularity(self, domain: str) -> int:
         return len(self.hosts_by_domain.get(domain, ()))
 
+    def series(self) -> list[tuple[tuple[str, str], list[float]]]:
+        """Every ``((host, domain), sorted_times)`` series of the day,
+        in pair first-appearance order."""
+        self.finalize()
+        pair_names = self._pair_names
+        return [
+            (pair_names[pair], times) for pair, times in self._series.items()
+        ]
+
     def connection_times(self, host: str, domain: str) -> list[float]:
         """Sorted timestamps of one (host, domain) pair's connections."""
         self.finalize()
-        return self.timestamps.get((host, domain), [])
+        h_id = self._host_ids.get(host)
+        d_id = self._domain_ids.get(domain)
+        if h_id is None or d_id is None:
+            return []
+        return self._series.get((h_id << _PAIR_SHIFT) | d_id, [])
 
     def first_contact(self, host: str, domain: str) -> float | None:
         """Earliest timestamp any host reached ``domain`` today."""
@@ -555,8 +442,8 @@ class DailyTraffic:
     ) -> list[tuple[tuple[str, str], list[float]]]:
         """The automation candidate series, sorted by (host, domain).
 
-        Equivalent to filtering ``sorted(traffic.timestamps.items())``
-        by rare domain -- the shape
+        Equivalent to filtering ``sorted(traffic.series())`` by rare
+        domain -- the shape
         :meth:`~repro.timing.detector.AutomationDetector.automated_pairs`
         consumes -- but filters on interned domain ids *before* any
         string-tuple sorting, so the sort touches only the rare pairs
@@ -571,16 +458,9 @@ class DailyTraffic:
         }
         if not rare_ids:
             return []
-        host_names = self._host_names
-        domain_names = self._domain_names
+        pair_names = self._pair_names
         out = [
-            (
-                (
-                    host_names[pair >> _PAIR_SHIFT],
-                    domain_names[pair & _DOMAIN_MASK],
-                ),
-                times,
-            )
+            (pair_names[pair], times)
             for pair, times in self._series.items()
             if pair & _DOMAIN_MASK in rare_ids
         ]
@@ -608,10 +488,9 @@ class DailyTraffic:
     ) -> tuple[RareDomHostView, RareDomainsByHostView]:
         """``(dom_host, host_rdom)`` for belief propagation, zero-copy.
 
-        Replaces the per-call ``{d: frozenset(...)}`` /
-        :func:`rare_domains_by_host` rebuilds: both views answer
-        lookups straight from the day's live dicts, restricted to
-        ``rare`` (no interned index required)."""
+        Both views answer lookups straight from the day's live dicts,
+        restricted to ``rare`` (no copy, no interned index required);
+        this is the one builder of Algorithm 1's two maps."""
         return (
             RareDomHostView(self.hosts_by_domain, rare),
             RareDomainsByHostView(self.domains_by_host, rare),
@@ -630,17 +509,6 @@ def extract_rare_domains(
         if len(hosts) < unpopular_max_hosts and history.is_new(domain):
             rare.add(domain)
     return rare
-
-
-def rare_domains_by_host(
-    traffic: DailyTraffic, rare: set[str]
-) -> dict[str, set[str]]:
-    """``host_rdom`` map of Algorithm 1: host -> rare domains visited."""
-    by_host: dict[str, set[str]] = defaultdict(set)
-    for domain in rare:
-        for host in traffic.hosts_by_domain.get(domain, ()):
-            by_host[host].add(domain)
-    return dict(by_host)
 
 
 class RareDomainTracker:

@@ -32,16 +32,8 @@ from .logs.dns import parse_dns_log
 from .logs.reduction import ReductionFunnel
 from .obs.metrics import NULL_METRICS
 from .profiling.history import DestinationHistory
-from .profiling.rare import DailyTraffic, extract_rare_domains, rare_domains_by_host
+from .profiling.rare import DailyTraffic, extract_rare_domains
 from .timing.detector import AutomationDetector
-
-#: Parity-only path: ``detect_on_traffic(..., use_index=False)`` keeps
-#: the legacy per-domain scoring loop purely as the reference the
-#: indexed/batched path is pinned against (``pytest -m parity``).
-#: Production always runs ``use_index=True``; the legacy branch is
-#: kept green only for those tests and is slated for retirement
-#: (ROADMAP).
-_parity = "detect_on_traffic(use_index=False)"
 
 
 @dataclass
@@ -84,7 +76,6 @@ def detect_on_traffic(
     hint_hosts: Sequence[str] = (),
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
-    use_index: bool = True,
     metrics=None,
 ) -> DayDetection:
     """The DNS-path daily detection stages on one day of traffic.
@@ -114,12 +105,9 @@ def detect_on_traffic(
     With ``ct_edges=None`` (the default) detections are byte-identical
     to a build without the parameter.
 
-    ``use_index`` routes belief propagation through the day's
-    :class:`~repro.profiling.index.TrafficIndex` and the incremental
-    frontier scorer; ``False`` keeps the legacy per-domain scoring
-    loops.  Both produce identical detections (the parity the
-    randomized tests and ``bench_bp_scale`` assert) -- the flag exists
-    for those comparisons.
+    Belief propagation scores through the day's
+    :class:`~repro.profiling.index.TrafficIndex` with an
+    :class:`~repro.core.scoring.IncrementalAdditiveScorer`.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`;
     stage timings are always measured (they feed the returned
@@ -161,22 +149,8 @@ def detect_on_traffic(
     bp_result = None
     detected: list[str] = []
     if seed_hosts:
-        if use_index:
-            dom_host, host_rdom = traffic.bp_views(rare)
-            incremental = IncrementalAdditiveScorer(
-                scorer, traffic, index=traffic.index()
-            )
-            scoring = {"score_frontier": incremental.score_frontier}
-        else:
-            dom_host = {
-                d: frozenset(traffic.hosts_by_domain.get(d, ()))
-                for d in rare
-            }
-            host_rdom = rare_domains_by_host(traffic, rare)
-            scoring = {
-                "similarity_score":
-                    lambda dom, mal: scorer.score(dom, mal, traffic),
-            }
+        dom_host, host_rdom = traffic.bp_views(rare)
+        incremental = IncrementalAdditiveScorer(scorer, traffic)
         with obs.span("detect_bp") as bp_span:
             bp_result = belief_propagation(
                 seed_hosts,
@@ -184,10 +158,10 @@ def detect_on_traffic(
                 dom_host=dom_host,
                 host_rdom=host_rdom,
                 detect_cc=lambda dom: dom in cc,
+                score_frontier=incremental.score_frontier,
                 config=config.belief_propagation,
                 sibling_dom=sibling_dom,
                 metrics=metrics,
-                **scoring,
             )
         stage_seconds["bp"] = bp_span.elapsed
         detected = sorted(seed_domains) + bp_result.detected_domains

@@ -254,7 +254,7 @@ def encode_window(window) -> dict[str, Any]:
         "events_today": window.events_today,
         "series": [
             [host, domain, times]
-            for (host, domain), times in sorted(traffic.timestamps.items())
+            for (host, domain), times in sorted(traffic.series())
         ],
         "resolved_ips": {
             domain: sorted(ips) for domain, ips in traffic.resolved_ips.items()

@@ -201,12 +201,12 @@ class StreamingEngineBase:
         append-only arrivals extend the cached clusters, and on-period
         beacons skip even the divergence recomputation.
         """
-        self.window.traffic.finalize()
+        traffic = self.window.traffic
+        traffic.finalize()
         rare = self.window.rare
         pending = self._pending_times
         verdicts = self._verdicts
         cache = self._series_cache
-        timestamps = self.window.traffic.timestamps
         not_rare = 0
         for pair in self._stale_pairs:
             domain = pair[1]
@@ -218,7 +218,7 @@ class StreamingEngineBase:
                 continue
             verdict = cache.test(
                 pair[0], domain,
-                timestamps.get(pair, []),
+                traffic.connection_times(*pair),
                 pending.pop(pair, ()),
             )
             if verdict.automated:
@@ -256,7 +256,9 @@ class StreamingEngineBase:
         self._verdicts.clear()
         self._series_cache.clear()
         self._pending_times.clear()
-        self._stale_pairs = set(self.window.traffic.timestamps)
+        self._stale_pairs = {
+            pair for pair, _ in self.window.traffic.series()
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from ..core.beliefprop import (
     BeliefPropagationResult,
     DetectCC,
     ScoreFrontier,
-    SimilarityScore,
     belief_propagation,
 )
 from ..profiling.rare import DailyTraffic
@@ -122,8 +121,7 @@ def warm_start_belief_propagation(
     *,
     graph: IncrementalGraph,
     detect_cc: DetectCC,
-    similarity_score: SimilarityScore | None = None,
-    score_frontier: ScoreFrontier | None = None,
+    score_frontier: ScoreFrontier,
     config: SystemConfig,
     prior: BeliefPropagationResult | None = None,
     warm: WarmStartConfig | None = None,
@@ -133,11 +131,10 @@ def warm_start_belief_propagation(
 
     Returns ``(result, mode)`` where ``mode`` is ``"warm"`` when the
     previous beliefs were reused and ``"full"`` for a cold recompute.
-    The graph's dirty set is consumed either way.  Similarity scoring
-    takes either form :func:`~repro.core.beliefprop.belief_propagation`
-    accepts: the batch ``score_frontier`` hook (one fresh stateful
-    scorer per call -- its incremental state follows this run's
-    malicious set) or the per-domain ``similarity_score`` adapter.
+    The graph's dirty set is consumed either way.  ``score_frontier``
+    is the batch hook :func:`~repro.core.beliefprop.belief_propagation`
+    takes; pass one fresh stateful scorer per call, since its
+    incremental state follows this run's malicious set.
     """
     warm = warm or WarmStartConfig()
     use_warm = (
@@ -156,7 +153,6 @@ def warm_start_belief_propagation(
         dom_host=graph.dom_host,
         host_rdom=graph.host_rdom,
         detect_cc=detect_cc,
-        similarity_score=similarity_score,
         score_frontier=score_frontier,
         config=config.belief_propagation,
         prior=prior if use_warm else None,

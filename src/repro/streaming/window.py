@@ -146,5 +146,5 @@ class WindowedAggregator:
         self.traffic.drop_index()
         self.traffic.index()
         self.tracker.resync(self.traffic)
-        self.dirty_pairs = set(self.traffic.timestamps)
+        self.dirty_pairs = {pair for pair, _ in self.traffic.series()}
         self.rare_changes = set()

@@ -1,4 +1,5 @@
-"""Shared dataset configurations for tests and benchmarks.
+"""Shared dataset configurations and reference helpers for tests and
+benchmarks.
 
 The synthetic worlds are deterministic functions of their seeds, so a
 single small configuration can be shared across the whole test suite
@@ -9,6 +10,8 @@ whichever conftest happens to be first on ``sys.path``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence, Set
 
 from .synthetic import (
     EnterpriseDatasetConfig,
@@ -95,3 +98,31 @@ def make_multi_enterprise_dataset(
         vt_coverage=vt_coverage,
         ct_sibling_domains=ct_sibling_domains,
     ))
+
+
+def per_domain_frontier(
+    score: Callable[[str, Set[str]], float],
+) -> Callable[[Sequence[str], Set[str]], dict[str, float]]:
+    """A :data:`~repro.core.beliefprop.ScoreFrontier` hook that scores
+    each frontier domain with ``score(domain, malicious)``.
+
+    The reference form of ``Compute_SimScore``: tests and benchmarks
+    wrap the per-domain scorers
+    (:meth:`~repro.core.scoring.AdditiveSimilarityScorer.score`,
+    :meth:`~repro.core.scoring.RegressionSimilarityScorer.score`) with
+    it to check the incremental frontier scorers against them.  The
+    hook accumulates the ``new_malicious`` deltas it is handed -- the
+    first call receives the full initial set -- so every domain is
+    scored against the run's whole malicious set.  Like the
+    incremental scorers it is stateful: use one per belief-propagation
+    run.
+    """
+    malicious: set[str] = set()
+
+    def score_frontier(
+        frontier: Sequence[str], new_malicious: Set[str]
+    ) -> dict[str, float]:
+        malicious.update(new_malicious)
+        return {domain: score(domain, malicious) for domain in frontier}
+
+    return score_frontier

@@ -16,10 +16,12 @@ from repro.testing import SMALL_ENTERPRISE, SMALL_LANL
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "parity: legacy-scalar vs columnar/vectorized equivalence tests. "
-        "The scalar paths (see the `_parity` notes in the source) are "
-        "kept only to anchor these; run the whole group with "
-        "`pytest -m parity` before touching either side.",
+        "parity: equivalence tests pinning the columnar/vectorized "
+        "paths to their references -- the per-domain scorers "
+        "(AdditiveSimilarityScorer.score, RegressionSimilarityScorer."
+        "score, AutomationDetector.test_series) and the frozen outputs "
+        "in tests/goldens/.  Run the whole group with `pytest -m parity` "
+        "before touching a scoring or ingest path.",
     )
 
 

@@ -23,7 +23,9 @@ def run_bp(
         dom_host={d: set(h) for d, h in dom_host.items()},
         host_rdom={h: set(d) for h, d in host_rdom.items()},
         detect_cc=lambda dom: dom in cc,
-        similarity_score=lambda dom, malicious: scores.get(dom, 0.0),
+        score_frontier=lambda frontier, new: {
+            dom: scores.get(dom, 0.0) for dom in frontier
+        },
         config=config,
     )
 

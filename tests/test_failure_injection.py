@@ -132,11 +132,15 @@ class TestPathologicalTiming:
         assert verdict.connections == 4  # no crash, finite divergence
 
 
+def _zero_scores(frontier, new_malicious):
+    return dict.fromkeys(frontier, 0.0)
+
+
 class TestBeliefPropagationEdges:
     def test_empty_seeds(self):
         result = belief_propagation(
             set(), set(), dom_host={}, host_rdom={},
-            detect_cc=lambda d: False, similarity_score=lambda d, m: 0.0,
+            detect_cc=lambda d: False, score_frontier=_zero_scores,
         )
         assert result.hosts == set()
         assert result.domains == set()
@@ -145,19 +149,19 @@ class TestBeliefPropagationEdges:
         """IOC seeds for domains not present today must not crash."""
         result = belief_propagation(
             {"h1"}, {"ghost.ru"}, dom_host={}, host_rdom={"h1": set()},
-            detect_cc=lambda d: False, similarity_score=lambda d, m: 0.0,
+            detect_cc=lambda d: False, score_frontier=_zero_scores,
         )
         assert "ghost.ru" in result.domains
 
     def test_scoring_function_raising_is_not_swallowed(self):
-        def bad_score(domain, malicious):
+        def bad_score(frontier, new_malicious):
             raise RuntimeError("scorer exploded")
 
         with pytest.raises(RuntimeError):
             belief_propagation(
                 {"h1"}, set(),
                 dom_host={"d.ru": {"h1"}}, host_rdom={"h1": {"d.ru"}},
-                detect_cc=lambda d: False, similarity_score=bad_score,
+                detect_cc=lambda d: False, score_frontier=bad_score,
             )
 
 

@@ -203,9 +203,6 @@ class TestLanlNetflow:
         truth = lanl_dataset.campaign_for_date(2)
         assert set(truth.cc_domains) <= rare
         detector = AutomationDetector()
-        verdicts = detector.automated_pairs(
-            (key, times) for key, times in sorted(traffic.timestamps.items())
-            if key[1] in rare
-        )
+        verdicts = detector.automated_pairs(traffic.rare_series(rare))
         automated_domains = {v.domain for v in verdicts}
         assert set(truth.cc_domains) <= automated_domains

@@ -6,7 +6,6 @@ from repro.profiling import (
     DestinationHistory,
     UserAgentHistory,
     extract_rare_domains,
-    rare_domains_by_host,
 )
 
 
@@ -181,6 +180,6 @@ class TestRareExtraction:
         traffic = DailyTraffic(0)
         traffic.ingest([conn("h1", "a.com"), conn("h2", "a.com"), conn("h1", "b.com")])
         rare = extract_rare_domains(traffic, history)
-        mapping = rare_domains_by_host(traffic, rare)
+        _, mapping = traffic.bp_views(rare)
         assert mapping["h1"] == {"a.com", "b.com"}
         assert mapping["h2"] == {"a.com"}

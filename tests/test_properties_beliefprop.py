@@ -50,7 +50,9 @@ def run(world):
         dom_host=dom_host,
         host_rdom=host_rdom,
         detect_cc=lambda dom: dom in cc,
-        similarity_score=lambda dom, malicious: scores[dom],
+        score_frontier=lambda frontier, new: {
+            dom: scores[dom] for dom in frontier
+        },
         config=config,
     )
     return result, config

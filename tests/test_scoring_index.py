@@ -2,11 +2,16 @@
 
 The incremental/batched scorers must produce *identical*
 ``BeliefPropagationResult`` detections, ordering and traces as the
-legacy per-domain path -- not approximately equal scores.  These tests
-assert exactly that over randomized multi-day traffic
-(``random.Random(seed)`` loops standing in for hypothesis), including
-warm-start (``prior=``) rounds and the WHOIS-imputation state the
-enterprise path threads through scoring.
+per-domain reference scorers (``AdditiveSimilarityScorer.score``,
+``RegressionSimilarityScorer.score``, wrapped as frontier hooks by
+:func:`repro.testing.per_domain_frontier`) -- not approximately equal
+scores.  These tests assert exactly that over randomized multi-day
+traffic (``random.Random(seed)`` loops standing in for hypothesis),
+including warm-start (``prior=``) rounds and the WHOIS-imputation
+state the enterprise path threads through scoring.  The daily
+routines have one scoring path; their tests swap the reference scorer
+in for the production one.  ``tests/test_goldens.py`` pins the same
+routines' outputs to frozen files.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from goldens.worlds import (
     random_day_connections,
     random_whois,
 )
+from repro import runner
 from repro.config import LANL_CONFIG, SystemConfig
+from repro.core import pipeline
 from repro.core.beliefprop import belief_propagation
 from repro.core.pipeline import detect_on_enterprise_traffic
 from repro.core.scoring import (
@@ -38,13 +45,30 @@ from repro.core.scoring import (
 )
 from repro.features.extract import SIMILARITY_FEATURE_NAMES, FeatureExtractor
 from repro.profiling.history import DestinationHistory
-from repro.profiling.rare import (
-    DailyTraffic,
-    extract_rare_domains,
-    rare_domains_by_host,
-)
+from repro.profiling.rare import DailyTraffic, extract_rare_domains
 from repro.runner import detect_on_traffic
+from repro.testing import per_domain_frontier
 from repro.timing.detector import AutomationDetector
+
+
+class _PerDomainAdditive:
+    """Reference stand-in for :class:`IncrementalAdditiveScorer`."""
+
+    def __init__(self, base, traffic, *, index=None):
+        self.score_frontier = per_domain_frontier(
+            lambda domain, malicious: base.score(domain, malicious, traffic)
+        )
+
+
+class _PerDomainRegression:
+    """Reference stand-in for :class:`BatchedSimilarityScorer`."""
+
+    def __init__(self, scorer, traffic, when, *, index=None):
+        self.score_frontier = per_domain_frontier(
+            lambda domain, malicious: scorer.score(
+                domain, malicious, traffic, when
+            )
+        )
 
 
 def _assert_same_bp(left, right) -> None:
@@ -63,8 +87,9 @@ def _assert_same_bp(left, right) -> None:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parity
-def test_detect_on_traffic_index_parity_multiday():
-    """Indexed scoring equals the legacy path on random multi-day runs."""
+def test_detect_on_traffic_index_parity_multiday(monkeypatch):
+    """Indexed scoring equals the per-domain reference on random
+    multi-day runs."""
     for seed in range(12):
         rng = random.Random(1000 + seed)
         history = DestinationHistory()
@@ -84,13 +109,17 @@ def test_detect_on_traffic_index_parity_multiday():
             fast = detect_on_traffic(
                 traffic, rare, automation=automation, scorer=scorer,
                 config=LANL_CONFIG, hint_hosts=hint_hosts,
-                intel_domains=intel, use_index=True,
+                intel_domains=intel,
             )
-            slow = detect_on_traffic(
-                traffic, rare, automation=automation, scorer=scorer,
-                config=LANL_CONFIG, hint_hosts=hint_hosts,
-                intel_domains=intel, use_index=False,
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    runner, "IncrementalAdditiveScorer", _PerDomainAdditive
+                )
+                slow = detect_on_traffic(
+                    traffic, rare, automation=automation, scorer=scorer,
+                    config=LANL_CONFIG, hint_hosts=hint_hosts,
+                    intel_domains=intel,
+                )
             assert fast.cc_domains == slow.cc_domains
             assert fast.detected == slow.detected
             assert fast.intel_seeded == slow.intel_seeded
@@ -100,7 +129,8 @@ def test_detect_on_traffic_index_parity_multiday():
 
 @pytest.mark.parity
 def test_belief_propagation_warm_start_parity():
-    """Incremental scoring matches legacy under ``prior=`` warm starts."""
+    """Incremental scoring matches the per-domain reference under
+    ``prior=`` warm starts."""
     for seed in range(8):
         rng = random.Random(7000 + seed)
         history = DestinationHistory()
@@ -125,11 +155,7 @@ def test_belief_propagation_warm_start_parity():
                 seed_hosts = set(sorted(traffic.domains_by_host)[:1])
             legacy_prior = results.get("prefix-legacy")
             fast_prior = results.get("prefix-fast")
-            dom_host = {
-                d: frozenset(traffic.hosts_by_domain.get(d, ()))
-                for d in rare
-            }
-            host_rdom = rare_domains_by_host(traffic, rare)
+            dom_host, host_rdom = traffic.bp_views(rare)
             common = dict(
                 dom_host=dom_host,
                 host_rdom=host_rdom,
@@ -138,7 +164,9 @@ def test_belief_propagation_warm_start_parity():
             )
             legacy = belief_propagation(
                 seed_hosts, seeds,
-                similarity_score=lambda d, mal: scorer.score(d, mal, traffic),
+                score_frontier=per_domain_frontier(
+                    lambda d, mal: scorer.score(d, mal, traffic)
+                ),
                 prior=legacy_prior if label == "full" else None,
                 **common,
             )
@@ -159,9 +187,9 @@ def test_belief_propagation_warm_start_parity():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parity
-def test_detect_on_enterprise_traffic_index_parity():
-    """Batched regression scoring equals the legacy path, including the
-    WHOIS imputation state it leaves behind."""
+def test_detect_on_enterprise_traffic_index_parity(monkeypatch):
+    """Batched regression scoring equals the per-domain reference,
+    including the WHOIS imputation state it leaves behind."""
     config = SystemConfig().with_thresholds(similarity=0.3, cc_score=0.25)
     for seed in range(10):
         rng = random.Random(3000 + seed)
@@ -178,28 +206,33 @@ def test_detect_on_enterprise_traffic_index_parity():
                 if rare and rng.random() < 0.3 else frozenset()
             )
             runs = {}
-            for use_index in (True, False):
+            for reference in (False, True):
                 cc_scorer, sim_scorer = enterprise_scorers(whois_db)
-                result = detect_on_enterprise_traffic(
-                    traffic, rare,
-                    day=day,
-                    automation=AutomationDetector(config.histogram),
-                    cc_scorer=cc_scorer,
-                    similarity_scorer=sim_scorer,
-                    config=config,
-                    soc_seed_domains=soc,
-                    intel_domains=intel,
-                    use_index=use_index,
-                )
+                with monkeypatch.context() as patch:
+                    if reference:
+                        patch.setattr(
+                            pipeline, "BatchedSimilarityScorer",
+                            _PerDomainRegression,
+                        )
+                    result = detect_on_enterprise_traffic(
+                        traffic, rare,
+                        day=day,
+                        automation=AutomationDetector(config.histogram),
+                        cc_scorer=cc_scorer,
+                        similarity_scorer=sim_scorer,
+                        config=config,
+                        soc_seed_domains=soc,
+                        intel_domains=intel,
+                    )
                 whois = sim_scorer.extractor.whois
-                runs[use_index] = (
+                runs[reference] = (
                     result,
                     None if whois is None else (
                         whois._age_sum, whois._validity_sum, whois._observed
                     ),
                 )
-            fast, fast_whois = runs[True]
-            slow, slow_whois = runs[False]
+            fast, fast_whois = runs[False]
+            slow, slow_whois = runs[True]
             assert fast.cc_domains == slow.cc_domains
             assert fast.intel_seeded == slow.intel_seeded
             _assert_same_bp(fast.no_hint, slow.no_hint)
@@ -251,9 +284,19 @@ def test_traffic_index_incremental_matches_rebuild():
                 assert l_pairs[host] == bulk.first_contact(host, domain)
 
 
+def _reference_host_rdom(traffic, rare) -> dict[str, set[str]]:
+    """Algorithm 1's ``host_rdom`` map built eagerly: host -> rare
+    domains visited."""
+    by_host: dict[str, set[str]] = {}
+    for domain in rare:
+        for host in traffic.hosts_by_domain.get(domain, ()):
+            by_host.setdefault(host, set()).add(domain)
+    return by_host
+
+
 @pytest.mark.parity
 def test_bp_views_match_legacy_maps():
-    """Index-backed dom_host / host_rdom views equal the eager maps."""
+    """Lazy dom_host / host_rdom views equal the eagerly built maps."""
     rng = random.Random(99)
     connections = random_day_connections(rng, 0, with_http=False)
     history = DestinationHistory()
@@ -266,7 +309,7 @@ def test_bp_views_match_legacy_maps():
         assert set(dom_host.get(domain, ())) == set(
             legacy_dom_host.get(domain, ())
         )
-    legacy_host_rdom = rare_domains_by_host(traffic, rare)
+    legacy_host_rdom = _reference_host_rdom(traffic, rare)
     for host in traffic.domains_by_host:
         assert set(host_rdom.get(host, ())) == set(
             legacy_host_rdom.get(host, ())
@@ -286,12 +329,7 @@ def test_grouped_beacon_heuristic_matches_full_scan():
         connections = random_day_connections(rng, 0, with_http=False)
         traffic, rare = aggregate(0, connections, history)
         automation = AutomationDetector(LANL_CONFIG.histogram)
-        series = [
-            (key, times)
-            for key, times in sorted(traffic.timestamps.items())
-            if key[1] in rare
-        ]
-        verdicts = automation.automated_pairs(series)
+        verdicts = automation.automated_pairs(traffic.rare_series(rare))
         grouped = group_verdicts_by_domain(verdicts)
         fast = {
             domain for domain, slice_ in grouped.items()

@@ -180,9 +180,8 @@ class TestCheckpointRestore:
         assert restored.window.day == detector.window.day
         assert restored.window.events_today == detector.window.events_today
         assert restored.window.rare == detector.window.rare
-        assert (
-            restored.window.traffic.timestamps
-            == detector.window.traffic.timestamps
+        assert dict(restored.window.traffic.series()) == dict(
+            detector.window.traffic.series()
         )
         assert restored.history._first_seen == detector.history._first_seen
         if detector.prior is not None:
@@ -309,15 +308,15 @@ def _toy_scorers():
     def detect_cc(domain):
         return domain == "d1"
 
-    def similarity(domain, malicious):
-        return scores.get(domain, 0.0)
+    def score_frontier(frontier, new_malicious):
+        return {domain: scores.get(domain, 0.0) for domain in frontier}
 
-    return detect_cc, similarity
+    return detect_cc, score_frontier
 
 
 class TestWarmStartBP:
     def test_warm_reaches_cold_fixed_point(self):
-        detect_cc, similarity = _toy_scorers()
+        detect_cc, score_frontier = _toy_scorers()
         config = LANL_CONFIG
         warm_cfg = WarmStartConfig(full_recompute_fraction=0.95)
 
@@ -327,7 +326,7 @@ class TestWarmStartBP:
         graph.add_edge("h1", "d2")
         prior, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=config,
         )
         assert mode == "full"
@@ -339,7 +338,7 @@ class TestWarmStartBP:
         graph.add_edge("h3", "d4")
         warm_result, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=config, prior=prior, warm=warm_cfg,
         )
         assert mode == "warm"
@@ -347,7 +346,7 @@ class TestWarmStartBP:
         cold_result = belief_propagation(
             {"h1"}, {"d1"},
             dom_host=graph.dom_host, host_rdom=graph.host_rdom,
-            detect_cc=detect_cc, similarity_score=similarity,
+            detect_cc=detect_cc, score_frontier=score_frontier,
             config=config.belief_propagation,
         )
         assert warm_result.domains == cold_result.domains
@@ -361,20 +360,20 @@ class TestWarmStartBP:
             )
 
     def test_warm_spends_fewer_iterations(self):
-        detect_cc, similarity = _toy_scorers()
+        detect_cc, score_frontier = _toy_scorers()
         graph = IncrementalGraph()
         graph.add_edge("h1", "d1")
         graph.add_edge("h1", "d2")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG,
         )
         graph.clear_dirty()
         graph.add_edge("h2", "d2")
         warm_result, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG, prior=prior,
             warm=WarmStartConfig(full_recompute_fraction=0.95),
         )
@@ -386,18 +385,18 @@ class TestWarmStartBP:
         )
 
     def test_falls_back_when_dirty_fraction_large(self):
-        detect_cc, similarity = _toy_scorers()
+        detect_cc, score_frontier = _toy_scorers()
         graph = IncrementalGraph()
         graph.add_edge("h1", "d1")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG,
         )
         graph.add_edge("h1", "d2")  # 1 of 2 domains dirty = 0.5 > 0.25
         _, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG, prior=prior,
         )
         assert mode == "full"
@@ -438,7 +437,7 @@ class TestWarmStartBP:
         assert set(second.detected) == set(cold.score().detected)
 
     def test_falls_back_on_belief_retraction(self):
-        detect_cc, similarity = _toy_scorers()
+        detect_cc, score_frontier = _toy_scorers()
         graph = IncrementalGraph()
         graph.add_edge("h1", "d1")
         graph.add_edge("h1", "d2")
@@ -446,14 +445,14 @@ class TestWarmStartBP:
             graph.add_edge(f"x{_}", "d4")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG,
         )
         assert "d2" in prior.domains
         graph.remove_domain("d2")  # d2 crossed the popularity threshold
         _, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=score_frontier,
             config=LANL_CONFIG, prior=prior,
             warm=WarmStartConfig(full_recompute_fraction=0.95),
         )
@@ -654,7 +653,7 @@ class TestWindowedAggregator:
         for start in range(0, len(conns), 101):
             window.ingest(conns[start:start + 101])
         window.traffic.finalize()
-        assert window.traffic.timestamps == bulk.timestamps
+        assert window.traffic.series() == bulk.series()
         assert window.traffic.hosts_by_domain == bulk.hosts_by_domain
         assert window.events_today == len(conns)
 
